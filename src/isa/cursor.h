@@ -81,6 +81,7 @@ struct FaultRec
     std::uint8_t itlb = 0;
     std::uint8_t global = 0;
     std::uint8_t isText = 0;
+    std::uint8_t pad[5] = {0, 0, 0, 0, 0};
 };
 
 /** Maximum nested faults. */
@@ -270,16 +271,24 @@ class Cursor
     std::int8_t depth_ = 0;
     bool wrongPath_ = false;
     bool stuck_ = false;
+    // Explicit zeroed padding: snapshots write a Cursor as one byte
+    // run, so implicit padding would leak host stack bytes into the
+    // artifact and make its bytes differ between processes.
+    std::uint8_t pad0_[5] = {0, 0, 0, 0, 0};
     Rng rng_{1};
     std::uint32_t stream_[4] = {0, 0, 0, 0};
     FaultRec faults_[maxFaultDepth];
     std::int8_t faultDepth_ = 0;
+    std::uint8_t pad1_[7] = {0, 0, 0, 0, 0, 0, 0};
     Addr retryVaddr_ = 0;
     std::int8_t retryDepth_ = -1;
+    std::uint8_t pad2_[7] = {0, 0, 0, 0, 0, 0, 0};
 };
 
 static_assert(std::is_trivially_copyable_v<Cursor>,
               "cursor checkpoints must be plain copies");
+static_assert(std::has_unique_object_representations_v<Cursor>,
+              "cursor snapshot bytes must hold no padding");
 
 } // namespace smtos
 
