@@ -1146,55 +1146,65 @@ Pipeline::skipIdleCycles(Cycle k)
 }
 
 void
-Pipeline::maybeFastForward(Cycle limit)
+Pipeline::fastForwardChip(const std::vector<Pipeline *> &cores,
+                          Cycle limit)
 {
-    if (!quiescent())
-        return;
-    Cycle h = nextEventHorizon();
-    if (h > limit)
-        h = limit;
+    Cycle h = limit;
+    for (const Pipeline *p : cores) {
+        if (!p->fastForward_ || p->fidelity_ != Fidelity::Detailed ||
+            !p->quiescent())
+            return;
+        h = std::min(h, p->nextEventHorizon());
+    }
     // Skip so the next cycle() lands exactly on the horizon. A
-    // horizon at now_+1 (or earlier) means the next tick may do real
+    // horizon at now+1 (or earlier) means the next tick may do real
     // work — nothing to skip.
-    if (h <= now_ + 1)
+    const Cycle now = cores.front()->now_;
+    if (h <= now + 1)
         return;
-    skipIdleCycles(h - now_ - 1);
+    for (Pipeline *p : cores)
+        p->skipIdleCycles(h - now - 1);
 }
 
 void
-Pipeline::runInstrs(std::uint64_t retired)
+Pipeline::runInstrs(const std::vector<Pipeline *> &cores, std::uint64_t n)
 {
-    const std::uint64_t target = stats_.totalRetired() + retired;
-    std::uint64_t last = stats_.totalRetired();
-    Cycle last_progress = now_;
-    while (stats_.totalRetired() < target) {
-        if (fastForward_ && fidelity_ == Fidelity::Detailed) {
-            // Clamp at the no-progress panic boundary so a wedged
-            // machine aborts at the same cycle as the ticked loop.
-            // (Functional cycles always make progress or hit the
-            // panic below; quiescence is a detailed-timing notion.)
-            maybeFastForward(last_progress + 200001);
-        }
-        cycle();
-        if (stats_.totalRetired() != last) {
-            last = stats_.totalRetired();
-            last_progress = now_;
-        } else if (now_ - last_progress > 200000) {
-            smtos_panic("pipeline made no progress for 200k cycles "
+    auto retired = [&cores] {
+        std::uint64_t total = 0;
+        for (const Pipeline *p : cores)
+            total += p->stats_.totalRetired();
+        return total;
+    };
+    const Pipeline &lead = *cores.front();
+    std::uint64_t last = retired();
+    const std::uint64_t target = last + n;
+    Cycle last_progress = lead.now_;
+    while (last < target) {
+        // Clamp at the no-progress panic boundary so a wedged chip
+        // aborts at the same cycle as the ticked loop.
+        fastForwardChip(cores, last_progress + 200001);
+        for (Pipeline *p : cores)
+            p->cycle();
+        const std::uint64_t now_retired = retired();
+        if (now_retired != last) {
+            last = now_retired;
+            last_progress = lead.now_;
+        } else if (lead.now_ - last_progress > 200000) {
+            smtos_panic("chip made no progress for 200k cycles "
                         "(cycle %llu)",
-                        static_cast<unsigned long long>(now_));
+                        static_cast<unsigned long long>(lead.now_));
         }
     }
 }
 
 void
-Pipeline::runCycles(Cycle n)
+Pipeline::runCycles(const std::vector<Pipeline *> &cores, Cycle n)
 {
-    const Cycle end = now_ + n;
-    while (now_ < end) {
-        if (fastForward_ && fidelity_ == Fidelity::Detailed)
-            maybeFastForward(end);
-        cycle();
+    const Cycle end = cores.front()->now_ + n;
+    while (cores.front()->now_ < end) {
+        fastForwardChip(cores, end);
+        for (Pipeline *p : cores)
+            p->cycle();
     }
 }
 

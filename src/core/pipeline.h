@@ -171,19 +171,27 @@ class Pipeline
     void restoreFidelity(Fidelity f, std::uint64_t instrs, Cycle cycles,
                          std::uint64_t switches);
 
-    /** Run until @p retired instructions have committed in total. */
-    void runInstrs(std::uint64_t retired);
+    /**
+     * The one stepping loop: tick every core of @p cores (a chip, in
+     * core order; a bare pipeline is a chip of one) in lockstep until
+     * @p n more instructions retire across them. A chip that retires
+     * nothing for 200k cycles is wedged and panics.
+     */
+    static void runInstrs(const std::vector<Pipeline *> &cores,
+                          std::uint64_t n);
 
-    /** Run for @p n cycles. */
-    void runCycles(Cycle n);
+    /** Tick every core of @p cores in lockstep for @p n cycles. */
+    static void runCycles(const std::vector<Pipeline *> &cores, Cycle n);
 
     /**
      * Enable/disable quiescence fast-forward (default on). When every
-     * context is stalled and no pipeline event can fire before the
-     * next wakeup, runInstrs/runCycles jump the clock to the event
-     * horizon instead of ticking idle cycles, with every counter
-     * (cycles, zero-fetch/issue, samplers, profiler slot attribution)
-     * accounted exactly as the ticked loop would have.
+     * context of every core is stalled and no pipeline event can fire
+     * before the next wakeup, runInstrs/runCycles jump the clock to
+     * the chip's event horizon instead of ticking idle cycles, with
+     * every counter (cycles, zero-fetch/issue, samplers, profiler
+     * slot attribution) accounted exactly as the ticked loop would
+     * have. Quiescence is a detailed-timing notion: a core in the
+     * functional fidelity never fast-forwards.
      */
     void setFastForward(bool on) { fastForward_ = on; }
     bool fastForward() const { return fastForward_; }
@@ -214,23 +222,10 @@ class Pipeline
     /**
      * Share one chip-wide uop sequence counter across cores so the
      * retired-stream contract (per-thread seq monotonicity) survives
-     * cross-core migration. Single-core pipelines keep their own
-     * counter; behavior and artifacts are identical either way.
+     * cross-core migration. A bare pipeline keeps its own counter;
+     * behavior and artifacts are identical either way.
      */
     void setSharedSeq(std::uint64_t *counter) { seqPtr_ = counter; }
-    bool fastForwardEnabled() const
-    {
-        return fastForward_ && fidelity_ == Fidelity::Detailed;
-    }
-
-    // --- chip-lockstep stepping (System drives these for cores > 1;
-    // --- thin public wrappers over the private fast-forward core) ---
-    /** True when no stage can do work until an external event. */
-    bool quiescentNow() const { return quiescent(); }
-    /** Earliest future cycle at which anything can happen here. */
-    Cycle eventHorizon() const { return nextEventHorizon(); }
-    /** Batch-account @p k skipped idle cycles (chip fast-forward). */
-    void skipIdle(Cycle k) { skipIdleCycles(k); }
 
     /** Raise a device interrupt on a context (delivered after drain). */
     void raiseInterrupt(CtxId id, std::uint16_t vector);
@@ -366,11 +361,13 @@ class Pipeline
      */
     Cycle nextEventHorizon() const;
     /**
-     * When quiescent, jump the clock forward so the next cycle() lands
-     * on min(horizon, @p limit), batch-accounting the skipped idle
-     * cycles bit-identically to the ticked loop.
+     * When every core of @p cores is quiescent, jump their clocks
+     * forward so the next cycle() lands on min(chip horizon, @p limit),
+     * batch-accounting the skipped idle cycles bit-identically to the
+     * ticked loop.
      */
-    void maybeFastForward(Cycle limit);
+    static void fastForwardChip(const std::vector<Pipeline *> &cores,
+                                Cycle limit);
     /** Account @p k skipped idle cycles exactly as k ticks would. */
     void skipIdleCycles(Cycle k);
 

@@ -31,23 +31,27 @@ std::string
 InvariantAuditor::checkNow() const
 {
     std::ostringstream os;
-    os << sys_.pipeline().auditInvariants();
+    for (const Pipeline *p : sys_.pipes())
+        os << p->auditInvariants();
     os << sys_.kernel().auditInvariants();
 
     const Cycle now = sys_.pipeline().now();
-    const Hierarchy &h = sys_.hierarchy();
-    const int l1 = h.l1Mshr().outstanding(now);
-    if (l1 < 0 || l1 > h.l1Mshr().size())
-        os << "L1 MSHR outstanding " << l1 << " outside [0, "
-           << h.l1Mshr().size() << "]\n";
-    const int l2 = h.l2Mshr().outstanding(now);
-    if (l2 < 0 || l2 > h.l2Mshr().size())
-        os << "L2 MSHR outstanding " << l2 << " outside [0, "
-           << h.l2Mshr().size() << "]\n";
-    const int sb = h.storeBuffer().occupancy(now);
-    if (sb < 0 || sb > h.storeBuffer().size())
-        os << "store buffer occupancy " << sb << " outside [0, "
-           << h.storeBuffer().size() << "]\n";
+    for (int c = 0; c < sys_.numCores(); ++c) {
+        const Hierarchy &h = sys_.hierarchy(c);
+        const int l1 = h.l1Mshr().outstanding(now);
+        if (l1 < 0 || l1 > h.l1Mshr().size())
+            os << "L1 MSHR outstanding " << l1 << " outside [0, "
+               << h.l1Mshr().size() << "]\n";
+        const int sb = h.storeBuffer().occupancy(now);
+        if (sb < 0 || sb > h.storeBuffer().size())
+            os << "store buffer occupancy " << sb << " outside [0, "
+               << h.storeBuffer().size() << "]\n";
+    }
+    const MshrFile &l2 = sys_.l2Complex().l2Mshr();
+    const int l2out = l2.outstanding(now);
+    if (l2out < 0 || l2out > l2.size())
+        os << "L2 MSHR outstanding " << l2out << " outside [0, "
+           << l2.size() << "]\n";
     return os.str();
 }
 

@@ -27,26 +27,22 @@ printEvent(std::ostream &os, const RetireEvent &e)
 
 } // namespace
 
-Cosim::Cosim(Pipeline &pipe)
-    : pipe_(&pipe), kernelImage_(pipe.kernelImage())
+Cosim::Cosim(const std::vector<Pipeline *> &pipes)
+    : pipes_(pipes), kernelImage_(pipes.front()->kernelImage())
 {
-    smtos_assert(pipe_->retireObserver() == nullptr);
-    pipe_->setRetireObserver(this);
+    for (Pipeline *pl : pipes_) {
+        smtos_assert(pl->retireObserver() == nullptr);
+        pl->setRetireObserver(this);
+    }
 }
 
-void
-Cosim::observe(Pipeline &pipe)
+Cosim::Cosim(Pipeline &pipe) : Cosim(std::vector<Pipeline *>{&pipe})
 {
-    smtos_assert(pipe.retireObserver() == nullptr);
-    pipe.setRetireObserver(this);
-    extraPipes_.push_back(&pipe);
 }
 
 Cosim::~Cosim()
 {
-    if (pipe_->retireObserver() == this)
-        pipe_->setRetireObserver(nullptr);
-    for (Pipeline *pl : extraPipes_)
+    for (Pipeline *pl : pipes_)
         if (pl->retireObserver() == this)
             pl->setRetireObserver(nullptr);
 }

@@ -39,20 +39,17 @@ class Cosim : public RetireObserver
 {
   public:
     /**
-     * Attach to @p pipe. Attach before System::start() so the
-     * observer sees the initial thread binds (and both value models
-     * start from all-zero register files).
-     */
-    explicit Cosim(Pipeline &pipe);
-    ~Cosim() override;
-
-    /**
-     * Observe an additional pipeline (CMP cores 1..N-1). The checkers
-     * are per thread, and the chip-shared sequence counter keeps each
+     * Attach to every core of @p pipes. Attach before System::start()
+     * so the observer sees the initial thread binds (and both value
+     * models start from all-zero register files). The checkers are
+     * per thread, and the chip-shared sequence counter keeps each
      * thread's seqs monotone across migration, so one oracle covers
      * every core's retired stream.
      */
-    void observe(Pipeline &pipe);
+    explicit Cosim(const std::vector<Pipeline *> &pipes);
+    /** Attach to a single pipeline. */
+    explicit Cosim(Pipeline &pipe);
+    ~Cosim() override;
 
     Cosim(const Cosim &) = delete;
     Cosim &operator=(const Cosim &) = delete;
@@ -106,8 +103,7 @@ class Cosim : public RetireObserver
     void diverge(const RetireEvent &e, const RefRetire *expect,
                  const std::string &what);
 
-    Pipeline *pipe_;
-    std::vector<Pipeline *> extraPipes_;
+    std::vector<Pipeline *> pipes_;
     const CodeImage *kernelImage_;
     std::map<ThreadId, ThreadChecker> threads_;
     bool diverged_ = false;

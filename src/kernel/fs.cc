@@ -24,9 +24,10 @@ Kernel::bufcachePagePhys(int file_id, std::uint32_t page)
         const Frame f = mem_.allocFrame();
         bufcache_.emplace(key, f);
         ++diskReads_;
-        // Disk DMA into the new page: stale cache lines die.
-        pipe_.hierarchy().dmaWrite(PhysMem::frameAddr(f),
-                                   static_cast<int>(pageBytes));
+        // Disk DMA into the new page: stale cache lines die in the
+        // shared L2 and (through the hub on a CMP) every core's L1D.
+        pipes_.front()->hierarchy().dmaWrite(
+            PhysMem::frameAddr(f), static_cast<int>(pageBytes));
         return PhysMem::frameAddr(f);
     }
     return PhysMem::frameAddr(it->second);

@@ -11,19 +11,21 @@
 
 namespace smtos {
 
-Kernel::Kernel(const Params &params, Pipeline &pipe, PhysMem &mem,
-               const KernelCode &kc)
-    : params_(params), pipe_(pipe), pipes_{&pipe}, mem_(mem), kc_(kc),
+Kernel::Kernel(const Params &params, const std::vector<Pipeline *> &pipes,
+               PhysMem &mem, const KernelCode &kc)
+    : params_(params), pipes_(pipes), mem_(mem), kc_(kc),
       kernelIs_{nullptr, &kc.image}, rng_(params.seed)
 {
-    schedLocks_.resize(1);
-    lockSpinByCore_.resize(1, 0);
+    runqs_.resize(pipes_.size());
+    protoQs_.resize(pipes_.size());
+    schedLocks_.resize(pipes_.size());
+    lockSpinByCore_.resize(pipes_.size(), 0);
     waiters_.resize(4);
     conns_.resize(512);
-    idleForCtx_.assign(static_cast<size_t>(pipe_.numContexts()),
-                       nullptr);
-    curProc_.assign(static_cast<size_t>(pipe_.numContexts()), nullptr);
-    nextTimerAt_.assign(static_cast<size_t>(pipe_.numContexts()), 0);
+    const auto total = static_cast<std::size_t>(totalContexts());
+    idleForCtx_.assign(total, nullptr);
+    curProc_.assign(total, nullptr);
+    nextTimerAt_.assign(total, 0);
     bootKernelSpace();
     if (params_.enableNetwork)
         clients_ = std::make_unique<ClientPopulation>(
@@ -32,22 +34,6 @@ Kernel::Kernel(const Params &params, Pipeline &pipe, PhysMem &mem,
         clients_->setOpenLoop(params_.openLoop);
     if (params_.admit.enabled())
         setAdmission(params_.admit);
-    pipe_.setOs(this);
-}
-
-void
-Kernel::attachPipes(const std::vector<Pipeline *> &pipes)
-{
-    smtos_assert(!pipes.empty() && pipes.front() == &pipe_);
-    pipes_ = pipes;
-    const auto total = static_cast<std::size_t>(totalContexts());
-    idleForCtx_.assign(total, nullptr);
-    curProc_.assign(total, nullptr);
-    nextTimerAt_.assign(total, 0);
-    runqsN_.resize(pipes_.size() - 1);
-    protoQsN_.resize(pipes_.size() - 1);
-    schedLocks_.assign(pipes_.size(), KLock{});
-    lockSpinByCore_.assign(pipes_.size(), 0);
     for (Pipeline *p : pipes_)
         p->setOs(this);
 }
@@ -606,9 +592,14 @@ void
 Kernel::dumpState(std::ostream &os) const
 {
     os << "cycle " << nowCycle_ << "\n";
-    os << "runq depth " << runq_.size() << ", acceptQ "
-       << acceptQ_.size() << ", protoQ " << protoQ_.size()
-       << ", nicRing " << nicRing_.size() << "\n";
+    std::size_t runqDepth = 0, protoQDepth = 0;
+    for (int core = 0; core < numCores(); ++core) {
+        runqDepth += runqFor(core).size();
+        protoQDepth += protoQFor(core).size();
+    }
+    os << "runq depth " << runqDepth << ", acceptQ " << acceptQ_.size()
+       << ", protoQ " << protoQDepth << ", nicRing " << nicRing_.size()
+       << "\n";
     for (size_t cx = 0; cx < curProc_.size(); ++cx) {
         const Process *p = curProc_[cx];
         os << "ctx" << cx << ": ";

@@ -180,18 +180,14 @@ class Kernel : public OsCallbacks
         AdmitParams admit;
     };
 
-    Kernel(const Params &params, Pipeline &pipe, PhysMem &mem,
-           const KernelCode &kc);
-
     /**
-     * CMP wiring: hand the kernel every core's pipeline (in core
-     * order; pipes[0] must be the constructor's pipe). Re-sizes the
-     * per-context scheduler state to the chip total and becomes the
-     * OS callback of every pipe. Contexts are addressed by their
+     * Boot over the chip's cores, @p pipes in core order, becoming
+     * the OS callback of every one. Contexts are addressed by their
      * global id (gid = core * contextsPerCore + local id) everywhere
-     * in the kernel; on one core gid == local id and nothing changes.
+     * in the kernel; on one core gid == local id.
      */
-    void attachPipes(const std::vector<Pipeline *> &pipes);
+    Kernel(const Params &params, const std::vector<Pipeline *> &pipes,
+           PhysMem &mem, const KernelCode &kc);
 
     /** Attach (or detach, with nullptr) the observability hub; the
      *  client population shares it for request-trace stamping. */
@@ -337,18 +333,16 @@ class Kernel : public OsCallbacks
     void nudgeIdleContext();
 
     // SMP plumbing (gid addressing, IPIs, measured locks)
-    int totalContexts() const
-    {
-        return numCores() * pipe_.numContexts();
-    }
+    int contextsPerCore() const { return pipes_.front()->numContexts(); }
+    int totalContexts() const { return numCores() * contextsPerCore(); }
     int coreOf(CtxId gid) const
     {
-        return static_cast<int>(gid) / pipe_.numContexts();
+        return static_cast<int>(gid) / contextsPerCore();
     }
     Context &ctxAt(CtxId gid)
     {
         return pipes_[static_cast<std::size_t>(coreOf(gid))]->ctx(
-            static_cast<int>(gid) % pipe_.numContexts());
+            static_cast<int>(gid) % contextsPerCore());
     }
     Pipeline &pipeOfCtx(const Context &ctx)
     {
@@ -356,25 +350,19 @@ class Kernel : public OsCallbacks
     }
     std::deque<Process *> &runqFor(int core)
     {
-        return core == 0 ? runq_
-                         : runqsN_[static_cast<std::size_t>(core - 1)];
+        return runqs_[static_cast<std::size_t>(core)];
     }
     const std::deque<Process *> &runqFor(int core) const
     {
-        return core == 0 ? runq_
-                         : runqsN_[static_cast<std::size_t>(core - 1)];
+        return runqs_[static_cast<std::size_t>(core)];
     }
     std::deque<Packet> &protoQFor(int core)
     {
-        return core == 0
-                   ? protoQ_
-                   : protoQsN_[static_cast<std::size_t>(core - 1)];
+        return protoQs_[static_cast<std::size_t>(core)];
     }
     const std::deque<Packet> &protoQFor(int core) const
     {
-        return core == 0
-                   ? protoQ_
-                   : protoQsN_[static_cast<std::size_t>(core - 1)];
+        return protoQs_[static_cast<std::size_t>(core)];
     }
     /** Ready work reachable from @p core (own queue or stealable). */
     bool runnableFor(int core) const;
@@ -424,8 +412,7 @@ class Kernel : public OsCallbacks
     friend class KernelTestPeer;
 
     Params params_;
-    Pipeline &pipe_;
-    /** All cores' pipelines in core order; pipes_[0] == &pipe_. */
+    /** Every core's pipeline, in core order. */
     std::vector<Pipeline *> pipes_;
     Probes *probes_ = nullptr;
     FaultPlan *faults_ = nullptr;
@@ -436,9 +423,8 @@ class Kernel : public OsCallbacks
 
     std::unique_ptr<AddrSpace> kernelSpace_;
     std::vector<std::unique_ptr<Process>> procs_;
-    std::deque<Process *> runq_;
-    /** Cores 1..N-1's run queues (core 0 keeps runq_). */
-    std::vector<std::deque<Process *>> runqsN_;
+    /** Run queues, by core. */
+    std::vector<std::deque<Process *>> runqs_;
     std::vector<Process *> idleForCtx_;
     std::vector<Process *> curProc_;
     std::vector<std::deque<Process *>> waiters_; // by WaitChan
@@ -448,9 +434,8 @@ class Kernel : public OsCallbacks
     std::vector<Connection> conns_;
     std::deque<int> acceptQ_;
     std::deque<Packet> nicRing_;
-    std::deque<Packet> protoQ_;
-    /** Cores 1..N-1's protocol queues (per-core netisr delivery). */
-    std::vector<std::deque<Packet>> protoQsN_;
+    /** Protocol queues, by core (per-core netisr delivery). */
+    std::vector<std::deque<Packet>> protoQs_;
     std::unordered_map<std::uint64_t, Frame> bufcache_;
     /** Shared text frames per image (for shareText processes). */
     std::unordered_map<const CodeImage *, std::vector<Frame>>

@@ -6,19 +6,54 @@
 
 namespace smtos {
 
-Hierarchy::Hierarchy(const HierarchyParams &params)
-    : params_(params),
-      l1i_(params.l1i),
-      l1d_(params.l1d),
+L2Complex::L2Complex(const HierarchyParams &params)
+    : l2Latency_(params.l2Latency),
       l2_(params.l2),
-      l1Mshr_("L1-MSHR", params.l1MshrEntries),
       l2Mshr_("L2-MSHR", params.l2MshrEntries),
-      storeBuffer_(params.storeBufferEntries),
       l1l2Bus_("L1-L2", params.l1l2BusBytesPerCycle,
                params.l1l2BusLatency),
       memBus_("memory", params.memBusBytesPerCycle,
               params.memBusLatency),
       memctrl_(params.dramLatency, params.dram)
+{
+}
+
+Cycle
+L2Complex::fill(Addr paddr, const AccessInfo &who, bool is_write,
+                Cycle start, int l1_line_bytes, bool &l2_hit)
+{
+    // L2 lookup (address travels the L1-L2 bus; response carries the
+    // line back over the same bus).
+    const Cycle l2_done = start + l2Latency_;
+    CacheOutcome l2_out = l2_.access(paddr, who, is_write);
+    l2_hit = l2_out.hit;
+    if (l2_out.hit)
+        return l1l2Bus_.transfer(l2_done, l1_line_bytes);
+    const int line = l2_.params().lineBytes;
+    const Addr block = paddr / static_cast<Addr>(line);
+    MshrGrant g2 = l2Mshr_.request(block, l2_done);
+    Cycle l2_ready;
+    if (g2.merged) {
+        l2_ready = std::max(g2.mergedReadyAt, l2_done);
+    } else {
+        const Cycle req = memBus_.transfer(g2.startAt, 8);
+        const Cycle mem_done = memctrl_.access(paddr, who, req);
+        l2_ready = memBus_.transfer(mem_done, line);
+        l2Mshr_.complete(block, g2.startAt, l2_ready);
+        l2missIntegral_ += static_cast<double>(l2_ready - g2.startAt);
+        if (l2_out.dirtyEviction)
+            memBus_.transfer(l2_ready, line);
+    }
+    return l1l2Bus_.transfer(l2_ready, l1_line_bytes);
+}
+
+Hierarchy::Hierarchy(const HierarchyParams &params, L2Complex &shared)
+    : params_(params),
+      shared_(shared),
+      l1i_(params.l1i),
+      l1d_(params.l1d),
+      l1Mshr_("L1-MSHR", params.l1MshrEntries),
+      storeBuffer_(params.storeBufferEntries)
 {
 }
 
@@ -28,7 +63,6 @@ Hierarchy::missPath(Cache &l1, Addr paddr, const AccessInfo &who,
 {
     MemResult res;
     const Addr block = paddr / static_cast<Addr>(l1.params().lineBytes);
-    Hierarchy &sh = shared();
 
     MshrGrant grant = l1Mshr_.request(block, now);
     if (grant.merged) {
@@ -42,38 +76,8 @@ Hierarchy::missPath(Cache &l1, Addr paddr, const AccessInfo &who,
     if (hub_ && !is_write)
         start += hub_->onReadMiss(coreId_, paddr);
 
-    // L2 lookup (address travels the L1-L2 bus; response carries the
-    // line back over the same bus).
-    const Cycle l2_done = start + params_.l2Latency;
-    CacheOutcome l2_out = sh.l2_.access(paddr, who, is_write);
-    Cycle fill_at;
-    if (l2_out.hit) {
-        res.l2Hit = true;
-        fill_at = sh.l1l2Bus_.transfer(l2_done, l1.params().lineBytes);
-    } else {
-        MshrGrant g2 = sh.l2Mshr_.request(
-            paddr / static_cast<Addr>(sh.l2_.params().lineBytes),
-            l2_done);
-        Cycle l2_ready;
-        if (g2.merged) {
-            l2_ready = std::max(g2.mergedReadyAt, l2_done);
-        } else {
-            const Cycle req = sh.memBus_.transfer(g2.startAt, 8);
-            const Cycle mem_done = sh.memctrl_.access(paddr, who, req);
-            l2_ready = sh.memBus_.transfer(mem_done,
-                                           sh.l2_.params().lineBytes);
-            sh.l2Mshr_.complete(
-                paddr / static_cast<Addr>(sh.l2_.params().lineBytes),
-                g2.startAt, l2_ready);
-            sh.l2missIntegral_ +=
-                static_cast<double>(l2_ready - g2.startAt);
-            if (l2_out.dirtyEviction)
-                sh.memBus_.transfer(l2_ready,
-                                    sh.l2_.params().lineBytes);
-        }
-        fill_at = sh.l1l2Bus_.transfer(l2_ready, l1.params().lineBytes);
-    }
-
+    const Cycle fill_at = shared_.fill(paddr, who, is_write, start,
+                                       l1.params().lineBytes, res.l2Hit);
     res.readyAt = fill_at + params_.l1FillPenalty;
     l1Mshr_.complete(block, start, res.readyAt);
     if (is_ifetch)
@@ -108,14 +112,14 @@ Hierarchy::data(Addr paddr, const AccessInfo &who, bool is_write,
         return res;
     }
     if (out.dirtyEviction)
-        shared().l1l2Bus_.transfer(now, l1d_.params().lineBytes);
+        shared_.l1l2Bus_.transfer(now, l1d_.params().lineBytes);
     if (is_write) {
         // Store misses allocate without fetching the line from
         // memory (write-validate, as the Alpha's write buffers and
         // write hints achieve): the L2 is probed/allocated for tag
         // state, but no DRAM round trip or MSHR entry is consumed.
         // The store buffer hides the L2 write latency.
-        shared().l2_.access(paddr, who, true);
+        shared_.l2_.access(paddr, who, true);
         MemResult res;
         res.readyAt = now + params_.l2Latency;
         if (hub_)
@@ -153,7 +157,7 @@ Hierarchy::warmFetch(Addr paddr, const AccessInfo &who)
     if (params_.filterPrivileged && who.isKernel())
         return;
     if (!l1i_.access(paddr, who, false).hit)
-        shared().l2_.access(paddr, who, false);
+        shared_.l2_.access(paddr, who, false);
 }
 
 void
@@ -162,7 +166,7 @@ Hierarchy::warmData(Addr paddr, const AccessInfo &who, bool is_write)
     if (params_.filterPrivileged && who.isKernel())
         return;
     if (!l1d_.access(paddr, who, is_write).hit)
-        shared().l2_.access(paddr, who, is_write);
+        shared_.l2_.access(paddr, who, is_write);
 }
 
 Cycle
@@ -187,11 +191,10 @@ Hierarchy::flushDcache()
 void
 Hierarchy::dmaWrite(Addr paddr, int bytes)
 {
-    Hierarchy &sh = shared();
-    const int line = sh.l2_.params().lineBytes;
+    const int line = shared_.l2_.params().lineBytes;
     for (Addr a = paddr; a < paddr + static_cast<Addr>(bytes);
          a += static_cast<Addr>(line)) {
-        sh.l2_.invalidateBlock(a);
+        shared_.l2_.invalidateBlock(a);
         if (hub_)
             hub_->dmaInvalidate(a);
         else

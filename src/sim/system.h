@@ -1,8 +1,9 @@
 /**
  * @file
- * The full-system simulator facade: physical memory, the memory
- * hierarchy, the SMT core, the kernel image, and the MiniOS model,
- * wired together. This is the role SimOS-Alpha plays in the paper.
+ * The full-system simulator facade: physical memory, the chip (one
+ * shared L2 complex plus N identical cores, each an SMT pipeline over
+ * its private L1 side), the kernel image, and the MiniOS model, wired
+ * together. This is the role SimOS-Alpha plays in the paper.
  */
 
 #ifndef SMTOS_SIM_SYSTEM_H
@@ -27,9 +28,10 @@ class System
     explicit System(const MachineConfig &cfg);
 
     /**
-     * Wire the observability hub into every producer: the pipeline,
-     * both TLBs, the caches, and the kernel. Pass nullptr to detach
-     * (probe sites revert to a single not-taken branch).
+     * Wire the observability hub into every producer: each core's
+     * pipeline, TLBs and L1s, the shared L2 and memory controller,
+     * and the kernel. Pass nullptr to detach (probe sites revert to
+     * a single not-taken branch).
      */
     void attachProbes(Probes *p);
 
@@ -46,29 +48,28 @@ class System
     void start() { kernel_->start(); }
 
     /**
-     * Run until @p n more instructions retire (chip-wide total on a
-     * CMP). On one core this delegates to the pipeline's own loop;
-     * on several, the cores step in lockstep one chip cycle at a
-     * time, fast-forwarding only when every core is quiescent.
+     * Run until @p n more instructions retire across the chip. Every
+     * core steps in lockstep, one chip cycle at a time, and the clock
+     * fast-forwards only when every core is quiescent (see
+     * Pipeline::runInstrs).
      */
     void run(std::uint64_t n);
 
     /** Run for @p n cycles. */
     void runCycles(Cycle n);
 
-    Pipeline &pipeline() { return *pipe_; }
-    Pipeline &pipeline(int core)
+    Pipeline &pipeline(int core = 0)
     {
-        return *pipes_[static_cast<std::size_t>(core)];
+        return cores_[static_cast<std::size_t>(core)]->pipe;
     }
     Kernel &kernel() { return *kernel_; }
-    Hierarchy &hierarchy() { return hier_; }
-    Hierarchy &hierarchy(int core)
+    /** Core @p core's private memory side. */
+    Hierarchy &hierarchy(int core = 0)
     {
-        return core == 0
-                   ? hier_
-                   : *hiersN_[static_cast<std::size_t>(core - 1)];
+        return cores_[static_cast<std::size_t>(core)]->hier;
     }
+    /** The chip's one shared L2 complex. */
+    L2Complex &l2Complex() { return l2_; }
     PhysMem &physMem() { return mem_; }
     const KernelCode &kernelCode() const { return *kc_; }
     const MachineConfig &config() const { return cfg_; }
@@ -79,21 +80,26 @@ class System
     CoherenceHub *coherence() { return hub_.get(); }
 
   private:
-    /** Chip-wide retired-instruction count. */
-    std::uint64_t chipRetired() const;
-    /** Skip to the next chip event if every core is quiescent. */
-    void chipFastForward(Cycle limit);
+    /** One core: its private memory side and the pipeline over it. */
+    struct Core
+    {
+        Core(const MachineConfig &cfg, L2Complex &l2,
+             const CodeImage *kernel_image)
+            : hier(cfg.mem, l2), pipe(cfg.core, hier, kernel_image)
+        {
+        }
+        Hierarchy hier;
+        Pipeline pipe;
+    };
 
     MachineConfig cfg_;
     Probes *probes_ = nullptr;
     PhysMem mem_;
     std::unique_ptr<KernelCode> kc_;
-    Hierarchy hier_;
-    std::unique_ptr<Pipeline> pipe_;
+    L2Complex l2_;
     std::unique_ptr<CoherenceHub> hub_;
-    std::vector<std::unique_ptr<Hierarchy>> hiersN_;
-    std::vector<std::unique_ptr<Pipeline>> pipesN_;
-    /** All cores in order; pipes_[0] == pipe_.get(). */
+    std::vector<std::unique_ptr<Core>> cores_;
+    /** Every core's pipeline, in core order. */
     std::vector<Pipeline *> pipes_;
     /** Chip-wide uop sequence counter shared by every core's
      *  cosim-observation stream (matches Pipeline's initial seq). */

@@ -192,9 +192,19 @@ Kernel::save(Snapshotter &sp, const SnapImages &images) const
     auto pidOf = [](const Process *p) {
         return p ? p->pid : -1;
     };
-    sp.u64(runq_.size());
-    for (const Process *p : runq_)
-        sp.i32(pidOf(p));
+    // Core 0's run and protocol queues sit in the body; every other
+    // core's follow in the SMP appendix (the historical layout).
+    auto runqOut = [&](int core) {
+        sp.u64(runqFor(core).size());
+        for (const Process *p : runqFor(core))
+            sp.i32(pidOf(p));
+    };
+    auto protoQOut = [&](int core) {
+        sp.u64(protoQFor(core).size());
+        for (const Packet &p : protoQFor(core))
+            pktOut(sp, p);
+    };
+    runqOut(0);
     sp.u64(curProc_.size());
     for (const Process *p : curProc_)
         sp.i32(pidOf(p));
@@ -218,9 +228,7 @@ Kernel::save(Snapshotter &sp, const SnapImages &images) const
     sp.u64(nicRing_.size());
     for (const Packet &p : nicRing_)
         pktOut(sp, p);
-    sp.u64(protoQ_.size());
-    for (const Packet &p : protoQ_)
-        pktOut(sp, p);
+    protoQOut(0);
 
     // Buffer cache, sorted for deterministic artifact bytes.
     {
@@ -259,18 +267,13 @@ Kernel::save(Snapshotter &sp, const SnapImages &images) const
 
     // SMP appendix: only a multicore kernel writes it, so cores = 1
     // KERN bytes — the bit-identity contract — never change. Sizes
-    // are structural (set by attachPipes on the identical rebuild).
+    // are structural (set by the constructor on the identical
+    // rebuild).
     if (numCores() > 1) {
-        for (const auto &rq : runqsN_) {
-            sp.u64(rq.size());
-            for (const Process *p : rq)
-                sp.i32(pidOf(p));
-        }
-        for (const auto &pq : protoQsN_) {
-            sp.u64(pq.size());
-            for (const Packet &p : pq)
-                pktOut(sp, p);
-        }
+        for (int core = 1; core < numCores(); ++core)
+            runqOut(core);
+        for (int core = 1; core < numCores(); ++core)
+            protoQOut(core);
         for (const auto &up : procs_)
             sp.i32(up->homeCore);
         auto lockOut = [&sp](const KLock &l) {
@@ -352,9 +355,19 @@ Kernel::load(Restorer &rs, const SnapImages &images)
         smtos_assert(pid < static_cast<int>(procs_.size()));
         return procs_[static_cast<std::size_t>(pid)].get();
     };
-    runq_.clear();
-    for (std::uint64_t n = rs.u64(); n > 0; --n)
-        runq_.push_back(byPid(rs.i32()));
+    auto runqIn = [&](int core) {
+        std::deque<Process *> &rq = runqFor(core);
+        rq.clear();
+        for (std::uint64_t n = rs.u64(); n > 0; --n)
+            rq.push_back(byPid(rs.i32()));
+    };
+    auto protoQIn = [&](int core) {
+        std::deque<Packet> &pq = protoQFor(core);
+        pq.clear();
+        for (std::uint64_t n = rs.u64(); n > 0; --n)
+            pq.push_back(pktIn(rs));
+    };
+    runqIn(0);
     smtos_assert(rs.u64() == curProc_.size());
     for (Process *&p : curProc_)
         p = byPid(rs.i32());
@@ -377,9 +390,7 @@ Kernel::load(Restorer &rs, const SnapImages &images)
     nicRing_.clear();
     for (std::uint64_t n = rs.u64(); n > 0; --n)
         nicRing_.push_back(pktIn(rs));
-    protoQ_.clear();
-    for (std::uint64_t n = rs.u64(); n > 0; --n)
-        protoQ_.push_back(pktIn(rs));
+    protoQIn(0);
 
     bufcache_.clear();
     for (std::uint64_t n = rs.u64(); n > 0; --n) {
@@ -403,16 +414,10 @@ Kernel::load(Restorer &rs, const SnapImages &images)
         clients_->load(rs);
 
     if (numCores() > 1) {
-        for (auto &rq : runqsN_) {
-            rq.clear();
-            for (std::uint64_t n = rs.u64(); n > 0; --n)
-                rq.push_back(byPid(rs.i32()));
-        }
-        for (auto &pq : protoQsN_) {
-            pq.clear();
-            for (std::uint64_t n = rs.u64(); n > 0; --n)
-                pq.push_back(pktIn(rs));
-        }
+        for (int core = 1; core < numCores(); ++core)
+            runqIn(core);
+        for (int core = 1; core < numCores(); ++core)
+            protoQIn(core);
         for (auto &up : procs_)
             up->homeCore = rs.i32();
         auto lockIn = [&rs](KLock &l) {

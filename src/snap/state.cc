@@ -485,63 +485,51 @@ MemCtrl::load(Restorer &rs)
 // --- mem/hierarchy.h ---
 
 void
-Hierarchy::save(Snapshotter &sp) const
+Hierarchy::save(Snapshotter &sp, bool with_shared) const
 {
+    const L2Complex &sh = shared_;
     sp.u32(snapVersion);
     l1i_.save(sp);
     l1d_.save(sp);
-    l2_.save(sp);
+    if (with_shared)
+        sh.l2_.save(sp);
     l1Mshr_.save(sp);
-    l2Mshr_.save(sp);
+    if (with_shared)
+        sh.l2Mshr_.save(sp);
     storeBuffer_.save(sp);
-    l1l2Bus_.save(sp);
-    memBus_.save(sp);
-    memctrl_.save(sp);
+    if (with_shared) {
+        sh.l1l2Bus_.save(sp);
+        sh.memBus_.save(sp);
+        sh.memctrl_.save(sp);
+    }
     sp.f64(imissIntegral_);
     sp.f64(dmissIntegral_);
-    sp.f64(l2missIntegral_);
+    if (with_shared)
+        sp.f64(sh.l2missIntegral_);
 }
 
 void
-Hierarchy::load(Restorer &rs)
+Hierarchy::load(Restorer &rs, bool with_shared)
 {
+    L2Complex &sh = shared_;
     tag(rs, snapVersion);
     l1i_.load(rs);
     l1d_.load(rs);
-    l2_.load(rs);
+    if (with_shared)
+        sh.l2_.load(rs);
     l1Mshr_.load(rs);
-    l2Mshr_.load(rs);
+    if (with_shared)
+        sh.l2Mshr_.load(rs);
     storeBuffer_.load(rs);
-    l1l2Bus_.load(rs);
-    memBus_.load(rs);
-    memctrl_.load(rs);
+    if (with_shared) {
+        sh.l1l2Bus_.load(rs);
+        sh.memBus_.load(rs);
+        sh.memctrl_.load(rs);
+    }
     imissIntegral_ = rs.f64();
     dmissIntegral_ = rs.f64();
-    l2missIntegral_ = rs.f64();
-}
-
-void
-Hierarchy::savePrivate(Snapshotter &sp) const
-{
-    sp.u32(snapVersion);
-    l1i_.save(sp);
-    l1d_.save(sp);
-    l1Mshr_.save(sp);
-    storeBuffer_.save(sp);
-    sp.f64(imissIntegral_);
-    sp.f64(dmissIntegral_);
-}
-
-void
-Hierarchy::loadPrivate(Restorer &rs)
-{
-    tag(rs, snapVersion);
-    l1i_.load(rs);
-    l1d_.load(rs);
-    l1Mshr_.load(rs);
-    storeBuffer_.load(rs);
-    imissIntegral_ = rs.f64();
-    dmissIntegral_ = rs.f64();
+    if (with_shared)
+        sh.l2missIntegral_ = rs.f64();
 }
 
 // --- vm/physmem.h ---

@@ -32,25 +32,16 @@ saveMachineSections(Snapshotter &sp, System &sys, FaultPlan *plan)
     sys.kernel().save(sp, images);
     sp.endSection();
 
-    sp.beginSection("PIPE", Pipeline::snapVersion);
-    sys.pipeline().save(sp, images);
-    sp.endSection();
-
-    sp.beginSection("HIER", Hierarchy::snapVersion);
-    sys.hierarchy().save(sp);
-    sp.endSection();
-
-    // CMP cores 1..N-1: one PIPE plus one private-HIER slice per
-    // extra core (the shared L2 complex already rode core 0's HIER),
-    // then the coherence hub. cores = 1 artifacts end at FLTP with
-    // the historical layout, byte for byte.
-    for (int c = 1; c < sys.numCores(); ++c) {
+    // One PIPE + HIER pair per core. Core 0's HIER also carries the
+    // shared L2 complex, so a cores = 1 artifact keeps the historical
+    // single-hierarchy layout byte for byte.
+    for (int c = 0; c < sys.numCores(); ++c) {
         sp.beginSection("PIPE", Pipeline::snapVersion);
         sys.pipeline(c).save(sp, images);
         sp.endSection();
 
         sp.beginSection("HIER", Hierarchy::snapVersion);
-        sys.hierarchy(c).savePrivate(sp);
+        sys.hierarchy(c).save(sp, c == 0);
         sp.endSection();
     }
     if (sys.coherence()) {
@@ -66,8 +57,9 @@ saveMachineSections(Snapshotter &sp, System &sys, FaultPlan *plan)
     sp.endSection();
 }
 
-void
-loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan)
+bool
+loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan,
+                    std::string &error)
 {
     const SnapImages images = collectImages(sys);
     Kernel &k = sys.kernel();
@@ -80,17 +72,7 @@ loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan)
     k.load(rs, images);
     rs.leaveSection();
 
-    rs.enterSection("PIPE");
-    sys.pipeline().load(rs, images, [&k](ThreadId tid) {
-        return &k.proc(tid).ts;
-    });
-    rs.leaveSection();
-
-    rs.enterSection("HIER");
-    sys.hierarchy().load(rs);
-    rs.leaveSection();
-
-    for (int c = 1; c < sys.numCores(); ++c) {
+    for (int c = 0; c < sys.numCores(); ++c) {
         rs.enterSection("PIPE");
         sys.pipeline(c).load(rs, images, [&k](ThreadId tid) {
             return &k.proc(tid).ts;
@@ -98,7 +80,7 @@ loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan)
         rs.leaveSection();
 
         rs.enterSection("HIER");
-        sys.hierarchy(c).loadPrivate(rs);
+        sys.hierarchy(c).load(rs, c == 0);
         rs.leaveSection();
     }
     if (sys.coherence()) {
@@ -109,13 +91,20 @@ loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan)
 
     rs.enterSection("FLTP");
     const bool hadPlan = rs.b();
-    smtos_assert(hadPlan == (plan != nullptr));
+    if (hadPlan != (plan != nullptr)) {
+        error = hadPlan ? "FLTP section carries a fault plan the "
+                          "config section lacks"
+                        : "FLTP section lacks the fault plan the "
+                          "config section declares";
+        return false;
+    }
     if (plan)
         plan->load(rs);
     rs.leaveSection();
 
     for (int c = 0; c < sys.numCores(); ++c)
         sys.pipeline(c).resyncThreads();
+    return true;
 }
 
 } // namespace smtos

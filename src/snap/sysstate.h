@@ -11,7 +11,10 @@
  *   "KERN"  kernel: scheduler, processes + thread state + address
  *           spaces, sockets, devices, buffer cache, network + clients
  *   "PIPE"  pipeline: windows, rename state, predictor, TLBs, stats
- *   "HIER"  memory hierarchy: caches, MSHRs, store buffers, bus, DRAM
+ *   "HIER"  private memory side: L1s, L1 MSHRs, store buffer; core
+ *           0's also carries the shared L2, L2 MSHRs, buses, DRAM
+ *           (one PIPE + HIER pair per core, in core order)
+ *   "COH "  coherence hub (multicore only)
  *   "FLTP"  fault plan RNG streams and log (flag + optional body)
  *
  * The kernel section loads before the pipeline section so thread-id
@@ -22,6 +25,8 @@
 
 #ifndef SMTOS_SNAP_SYSSTATE_H
 #define SMTOS_SNAP_SYSSTATE_H
+
+#include <string>
 
 #include "snap/fwd.h"
 
@@ -43,8 +48,11 @@ void saveMachineSections(Snapshotter &sp, System &sys, FaultPlan *plan);
 /**
  * Restore the machine sections over a freshly built-and-started @p sys
  * (workloads installed, same fault plan shape attached, start() run).
+ * Returns false with @p error set when the artifact's fault-plan flag
+ * contradicts the plan shape its config section declared.
  */
-void loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan);
+bool loadMachineSections(Restorer &rs, System &sys, FaultPlan *plan,
+                         std::string &error);
 
 } // namespace smtos
 

@@ -139,7 +139,8 @@ TEST(Dram, FixedLatencyPipelined)
 
 TEST(Hierarchy, L1HitIsFast)
 {
-    Hierarchy h{HierarchyParams{}};
+    L2Complex l2{HierarchyParams{}};
+    Hierarchy h{HierarchyParams{}, l2};
     auto fill = h.data(0x1000, user(1), false, 0);
     const Cycle later = fill.readyAt + 5;
     auto r = h.data(0x1000, user(1), false, later);
@@ -149,7 +150,8 @@ TEST(Hierarchy, L1HitIsFast)
 
 TEST(Hierarchy, HitUnderFillWaitsForTheFill)
 {
-    Hierarchy h{HierarchyParams{}};
+    L2Complex l2{HierarchyParams{}};
+    Hierarchy h{HierarchyParams{}, l2};
     auto fill = h.data(0x1000, user(1), false, 0);
     auto r = h.data(0x1000, user(2), false, 10);
     EXPECT_TRUE(r.l1Hit);
@@ -158,46 +160,50 @@ TEST(Hierarchy, HitUnderFillWaitsForTheFill)
 
 TEST(Hierarchy, ColdLoadGoesToDram)
 {
-    Hierarchy h{HierarchyParams{}};
+    L2Complex l2{HierarchyParams{}};
+    Hierarchy h{HierarchyParams{}, l2};
     auto r = h.data(0x1000, user(1), false, 0);
     EXPECT_FALSE(r.l1Hit);
     EXPECT_FALSE(r.l2Hit);
     // At least L2 latency + DRAM latency.
     EXPECT_GT(r.readyAt, h.params().l2Latency +
                              h.params().dramLatency);
-    EXPECT_EQ(h.dram().accesses(), 1u);
+    EXPECT_EQ(l2.dram().accesses(), 1u);
 }
 
 TEST(Hierarchy, L2HitAvoidsDram)
 {
     HierarchyParams p;
     p.l1d.sizeBytes = 1024; // tiny L1 so we can evict easily
-    Hierarchy h{p};
+    L2Complex l2{p};
+    Hierarchy h{p, l2};
     h.data(0x1000, user(1), false, 0);
     // Evict 0x1000 from tiny L1 (same set: 512B apart, 2-way).
     h.data(0x1000 + 512, user(1), false, 200);
     h.data(0x1000 + 1024, user(1), false, 400);
-    const auto dram_before = h.dram().accesses();
+    const auto dram_before = l2.dram().accesses();
     auto r = h.data(0x1000, user(1), false, 600);
     EXPECT_FALSE(r.l1Hit);
     EXPECT_TRUE(r.l2Hit);
-    EXPECT_EQ(h.dram().accesses(), dram_before);
+    EXPECT_EQ(l2.dram().accesses(), dram_before);
 }
 
 TEST(Hierarchy, StoreMissDoesNotFetchFromDram)
 {
-    Hierarchy h{HierarchyParams{}};
-    const auto before = h.dram().accesses();
+    L2Complex l2{HierarchyParams{}};
+    Hierarchy h{HierarchyParams{}, l2};
+    const auto before = l2.dram().accesses();
     auto r = h.data(0x9000, user(1), true, 0);
     EXPECT_FALSE(r.l1Hit);
-    EXPECT_EQ(h.dram().accesses(), before); // write-validate
+    EXPECT_EQ(l2.dram().accesses(), before); // write-validate
     // And the line is now present for subsequent loads.
     EXPECT_TRUE(h.data(0x9000, user(1), false, 100).l1Hit);
 }
 
 TEST(Hierarchy, FetchPathUsesICache)
 {
-    Hierarchy h{HierarchyParams{}};
+    L2Complex l2{HierarchyParams{}};
+    Hierarchy h{HierarchyParams{}, l2};
     auto r1 = h.fetch(0x4000, kern(1), 0);
     EXPECT_FALSE(r1.l1Hit);
     auto r2 = h.fetch(0x4000, kern(1), r1.readyAt);
@@ -208,7 +214,8 @@ TEST(Hierarchy, FetchPathUsesICache)
 
 TEST(Hierarchy, MshrMergeOnConcurrentMisses)
 {
-    Hierarchy h{HierarchyParams{}};
+    L2Complex l2{HierarchyParams{}};
+    Hierarchy h{HierarchyParams{}, l2};
     auto r1 = h.data(0x5000, user(1), false, 0);
     auto r2 = h.data(0x5000, user(2), false, 1); // same line in flight
     EXPECT_EQ(h.l1Mshr().merges(), 1u);
@@ -217,7 +224,8 @@ TEST(Hierarchy, MshrMergeOnConcurrentMisses)
 
 TEST(Hierarchy, FlushIcacheInvalidates)
 {
-    Hierarchy h{HierarchyParams{}};
+    L2Complex l2{HierarchyParams{}};
+    Hierarchy h{HierarchyParams{}, l2};
     h.fetch(0x4000, user(1), 0);
     h.flushIcache();
     auto r = h.fetch(0x4000, user(1), 1000);
@@ -229,7 +237,8 @@ TEST(Hierarchy, FlushIcacheInvalidates)
 
 TEST(Hierarchy, DmaWriteInvalidatesCachedCopies)
 {
-    Hierarchy h{HierarchyParams{}};
+    L2Complex l2{HierarchyParams{}};
+    Hierarchy h{HierarchyParams{}, l2};
     h.data(0x8000, user(1), false, 0);
     h.dmaWrite(0x8000, 4096);
     auto r = h.data(0x8000, user(1), false, 1000);
@@ -240,7 +249,8 @@ TEST(Hierarchy, FilterPrivilegedSkipsKernelRefs)
 {
     HierarchyParams p;
     p.filterPrivileged = true;
-    Hierarchy h{p};
+    L2Complex l2{p};
+    Hierarchy h{p, l2};
     auto r = h.data(0x1000, kern(1), false, 0);
     EXPECT_TRUE(r.l1Hit); // kernel refs complete instantly
     EXPECT_EQ(h.l1d().stats().totalAccesses(), 0u);
@@ -251,17 +261,19 @@ TEST(Hierarchy, FilterPrivilegedSkipsKernelRefs)
 
 TEST(Hierarchy, OutstandingMissIntegralsGrow)
 {
-    Hierarchy h{HierarchyParams{}};
+    L2Complex l2{HierarchyParams{}};
+    Hierarchy h{HierarchyParams{}, l2};
     h.data(0x1000, user(1), false, 0);
     h.fetch(0x2000, user(1), 0);
     EXPECT_GT(h.dmissIntegral(), 0.0);
     EXPECT_GT(h.imissIntegral(), 0.0);
-    EXPECT_GT(h.l2missIntegral(), 0.0);
+    EXPECT_GT(l2.l2missIntegral(), 0.0);
 }
 
 TEST(Hierarchy, BusContentionSlowsParallelMisses)
 {
-    Hierarchy h{HierarchyParams{}};
+    L2Complex l2{HierarchyParams{}};
+    Hierarchy h{HierarchyParams{}, l2};
     Cycle first = h.data(0x10000, user(1), false, 0).readyAt;
     Cycle second = h.data(0x20000, user(2), false, 0).readyAt;
     Cycle third = h.data(0x30000, user(3), false, 0).readyAt;

@@ -108,7 +108,8 @@ class PipelineTest : public testing::Test
             kernel->finalize();
         CoreParams cp;
         cp.numContexts = contexts;
-        hier = std::make_unique<Hierarchy>(HierarchyParams{});
+        l2 = std::make_unique<L2Complex>(HierarchyParams{});
+        hier = std::make_unique<Hierarchy>(HierarchyParams{}, *l2);
         pipe = std::make_unique<Pipeline>(cp, *hier, kernel.get());
         os = std::make_unique<StubOs>(pipe->itlb(), pipe->dtlb());
         os->images = ImageSet{user.get(), kernel.get()};
@@ -140,6 +141,7 @@ class PipelineTest : public testing::Test
     std::unique_ptr<CodeImage> user;
     std::unique_ptr<CodeImage> kernel;
     CodeGen gu, gk;
+    std::unique_ptr<L2Complex> l2;
     std::unique_ptr<Hierarchy> hier;
     std::unique_ptr<Pipeline> pipe;
     std::unique_ptr<StubOs> os;
@@ -156,7 +158,7 @@ TEST_F(PipelineTest, RunsStraightLineCode)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(f));
-    pipe->runInstrs(5000);
+    Pipeline::runInstrs({pipe.get()}, 5000);
     EXPECT_GE(pipe->stats().totalRetired(), 5000u);
     EXPECT_GT(pipe->stats().ipc(), 0.3);
 }
@@ -167,14 +169,14 @@ TEST_F(PipelineTest, TwoThreadsBeatOne)
     user->finalize();
     wire(2);
     pipe->bindThread(0, &makeThread(f, 0));
-    pipe->runInstrs(4000);
+    Pipeline::runInstrs({pipe.get()}, 4000);
     const Cycle c1 = pipe->now();
 
     // Fresh pipeline with both contexts busy.
     wire(2);
     pipe->bindThread(0, &makeThread(f, 1));
     pipe->bindThread(1, &makeThread(f, 2));
-    pipe->runInstrs(8000);
+    Pipeline::runInstrs({pipe.get()}, 8000);
     const Cycle c2 = pipe->now();
     // Two threads retire 2x the work in well under 2x the cycles.
     EXPECT_LT(static_cast<double>(c2),
@@ -192,7 +194,7 @@ TEST_F(PipelineTest, SerializingInstructionReachesOs)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(400);
+    Pipeline::runInstrs({pipe.get()}, 400);
     EXPECT_GT(os->serializations, 0);
     EXPECT_EQ(os->lastSyscall, 9);
 }
@@ -207,7 +209,7 @@ TEST_F(PipelineTest, MagicPayloadDelivered)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(100);
+    Pipeline::runInstrs({pipe.get()}, 100);
     EXPECT_EQ(os->lastMagic, MagicOp::NetSend);
 }
 
@@ -226,7 +228,7 @@ TEST_F(PipelineTest, HaltStopsThread)
     wire();
     pipe->bindThread(0, &makeThread(0, 0));
     pipe->bindThread(1, &makeThread(f2, 1)); // keeps retiring
-    pipe->runInstrs(500);
+    Pipeline::runInstrs({pipe.get()}, 500);
     EXPECT_EQ(os->halts, 1);
 }
 
@@ -247,7 +249,7 @@ TEST_F(PipelineTest, MispredictsAreSquashedAndRecovered)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(20000);
+    Pipeline::runInstrs({pipe.get()}, 20000);
     EXPECT_GT(pipe->stats().squashed, 100u);
     EXPECT_GT(pipe->stats().fetchedWrongPath, 100u);
     EXPECT_GT(pipe->stats().condMispred[0], 50u);
@@ -267,7 +269,7 @@ TEST_F(PipelineTest, PerfectlyBiasedBranchBarelyMispredicts)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(20000);
+    Pipeline::runInstrs({pipe.get()}, 20000);
     const auto &s = pipe->stats();
     EXPECT_LT(static_cast<double>(s.condMispred[0]) /
                   static_cast<double>(s.condRetired[0]),
@@ -290,7 +292,7 @@ TEST_F(PipelineTest, DtlbMissTrapsOnce)
          vpn <= pageOf(0x70000000 + (1 << 16)); ++vpn)
         space->mapShared(vpn, vpn);
     pipe->bindThread(0, &t);
-    pipe->runInstrs(5000);
+    Pipeline::runInstrs({pipe.get()}, 5000);
     // The stack region spans 16 pages: a handful of traps, then all
     // translations are cached in the DTLB.
     EXPECT_GT(os->dtlbMisses, 0);
@@ -303,7 +305,7 @@ TEST_F(PipelineTest, ItlbMissOnFirstFetch)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(f));
-    pipe->runInstrs(1000);
+    Pipeline::runInstrs({pipe.get()}, 1000);
     EXPECT_GT(os->itlbMisses, 0);
 }
 
@@ -313,9 +315,9 @@ TEST_F(PipelineTest, InterruptDeliveredAfterDrain)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(f));
-    pipe->runInstrs(200);
+    Pipeline::runInstrs({pipe.get()}, 200);
     pipe->raiseInterrupt(0, 3);
-    pipe->runInstrs(500);
+    Pipeline::runInstrs({pipe.get()}, 500);
     EXPECT_EQ(os->interrupts, 1);
 }
 
@@ -325,7 +327,7 @@ TEST_F(PipelineTest, RetiredInstructionCountsExact)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(f));
-    pipe->runInstrs(3000);
+    Pipeline::runInstrs({pipe.get()}, 3000);
     const auto &s = pipe->stats();
     std::uint64_t mix_total = 0;
     for (int c = 0; c < 2; ++c)
@@ -341,7 +343,7 @@ TEST_F(PipelineTest, FetchableContextsSampled)
     wire(2);
     pipe->bindThread(0, &makeThread(f, 0));
     pipe->bindThread(1, &makeThread(f, 1));
-    pipe->runInstrs(2000);
+    Pipeline::runInstrs({pipe.get()}, 2000);
     EXPECT_GT(pipe->stats().fetchableContexts.mean(), 0.5);
     EXPECT_LE(pipe->stats().fetchableContexts.mean(), 2.0);
 }
@@ -355,7 +357,7 @@ TEST_F(PipelineTest, IdleThreadAccountedAsIdle)
     t.isIdleThread = true;
     t.userImage = user.get();
     pipe->bindThread(0, &t);
-    pipe->runInstrs(500);
+    Pipeline::runInstrs({pipe.get()}, 500);
     EXPECT_EQ(pipe->stats()
                   .retired[static_cast<int>(Mode::User)],
               pipe->stats().totalRetired());
@@ -382,7 +384,7 @@ TEST_F(PipelineTest, SharedIqThrottlesFetch)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(2000);
+    Pipeline::runInstrs({pipe.get()}, 2000);
     // Serial 8-cycle multiplies: IPC must be near 1/8.
     EXPECT_LT(pipe->stats().ipc(), 0.5);
     EXPECT_GT(pipe->stats().ipc(), 0.05);
@@ -403,6 +405,6 @@ TEST_F(PipelineTest, IndependentOpsReachHighIpc)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(20000);
+    Pipeline::runInstrs({pipe.get()}, 20000);
     EXPECT_GT(pipe->stats().ipc(), 2.0);
 }

@@ -88,7 +88,8 @@ class Pipeline2 : public testing::Test
     {
         if (!kernel->finalized())
             kernel->finalize();
-        hier = std::make_unique<Hierarchy>(HierarchyParams{});
+        l2 = std::make_unique<L2Complex>(HierarchyParams{});
+        hier = std::make_unique<Hierarchy>(HierarchyParams{}, *l2);
         pipe = std::make_unique<Pipeline>(cp, *hier, kernel.get());
         os = std::make_unique<RecorderOs>(pipe->itlb(), pipe->dtlb());
         os->images = ImageSet{user.get(), kernel.get()};
@@ -118,6 +119,7 @@ class Pipeline2 : public testing::Test
 
     std::unique_ptr<CodeImage> user, kernel;
     CodeGen gu, gk;
+    std::unique_ptr<L2Complex> l2;
     std::unique_ptr<Hierarchy> hier;
     std::unique_ptr<Pipeline> pipe;
     std::unique_ptr<RecorderOs> os;
@@ -141,7 +143,7 @@ TEST_F(Pipeline2, SyscallsCommitInProgramOrder)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(200);
+    Pipeline::runInstrs({pipe.get()}, 200);
     ASSERT_GE(os->order.size(), 6u);
     for (size_t i = 0; i + 2 < 6; i += 3) {
         EXPECT_EQ(os->order[i], 1);
@@ -168,7 +170,7 @@ TEST_F(Pipeline2, IssueNeverExceedsIntUnits)
     wire();
     pipe->bindThread(0, &makeThread(0, 0));
     pipe->bindThread(1, &makeThread(0, 1));
-    pipe->runInstrs(30000);
+    Pipeline::runInstrs({pipe.get()}, 30000);
     EXPECT_LE(pipe->stats().ipc(), 6.05);
     EXPECT_GT(pipe->stats().ipc(), 3.0);
 }
@@ -182,7 +184,7 @@ TEST_F(Pipeline2, EightContextsSaturateIssue)
     wire(cp);
     for (int c = 0; c < 8; ++c)
         pipe->bindThread(c, &makeThread(f, c));
-    pipe->runInstrs(40000);
+    Pipeline::runInstrs({pipe.get()}, 40000);
     EXPECT_GT(pipe->stats().ipc(), 1.2);
     EXPECT_GT(pipe->stats().maxIssueCycles, 0u);
 }
@@ -204,7 +206,7 @@ TEST_F(Pipeline2, ReturnsPredictedByRas)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(1));
-    pipe->runInstrs(20000);
+    Pipeline::runInstrs({pipe.get()}, 20000);
     const auto &s = pipe->stats();
     EXPECT_LT(static_cast<double>(s.targetMispred[0]),
               0.02 * static_cast<double>(s.totalRetired()));
@@ -229,7 +231,7 @@ TEST_F(Pipeline2, IndirectJumpsMissTargetsSometimes)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(20000);
+    Pipeline::runInstrs({pipe.get()}, 20000);
     EXPECT_GT(pipe->stats().targetMispred[0], 50u);
     EXPECT_GT(pipe->btb().wrongTargetHits(), 10u);
 }
@@ -249,9 +251,9 @@ TEST_F(Pipeline2, InterruptDuringKernelFramesNests)
     t.cursor.reset(kf, true, 5); // start in kernel code
     t.userImage = user.get();
     pipe->bindThread(0, &t);
-    pipe->runInstrs(500);
+    Pipeline::runInstrs({pipe.get()}, 500);
     pipe->raiseInterrupt(0, 9);
-    pipe->runInstrs(500);
+    Pipeline::runInstrs({pipe.get()}, 500);
     ASSERT_EQ(os->interrupts.size(), 1u);
     EXPECT_EQ(os->interrupts[0], 9);
 }
@@ -267,7 +269,7 @@ TEST_F(Pipeline2, KernelTagAttributionFollowsFunctions)
     ThreadState &t = makeThread(0);
     t.cursor.reset(kf, true, 5);
     pipe->bindThread(0, &t);
-    pipe->runInstrs(2000);
+    Pipeline::runInstrs({pipe.get()}, 2000);
     EXPECT_GT(pipe->stats().retiredByTag[13], 1500u);
 }
 
@@ -283,7 +285,7 @@ TEST_F(Pipeline2, FilterPrivilegedBranchesPerfect)
     ThreadState &t = makeThread(0);
     t.cursor.reset(kf, true, 5);
     pipe->bindThread(0, &t);
-    pipe->runInstrs(5000);
+    Pipeline::runInstrs({pipe.get()}, 5000);
     // Kernel branches neither mispredict nor touch the BTB.
     EXPECT_EQ(pipe->stats().condMispred[1], 0u);
     EXPECT_EQ(pipe->btb().stats().totalAccesses(), 0u);
@@ -299,7 +301,7 @@ TEST_F(Pipeline2, RoundRobinFetchStillProgressesAll)
     wire(cp);
     for (int c = 0; c < 4; ++c)
         pipe->bindThread(c, &makeThread(f, c));
-    pipe->runInstrs(20000);
+    Pipeline::runInstrs({pipe.get()}, 20000);
     for (auto &t : threads)
         EXPECT_GT(t->cursor.retired, 1000u);
 }
@@ -317,7 +319,7 @@ TEST_F(Pipeline2, DtlbTrapInsideLoopRetriesExactAddress)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(30000);
+    Pipeline::runInstrs({pipe.get()}, 30000);
     // ~30000/3 stores * 512B stride = ~5MB walked -> ~16 pages of the
     // 64KB region, each trapping exactly once per wrap.
     EXPECT_GT(os->dtlbMisses, 10);
@@ -341,7 +343,7 @@ TEST_F(Pipeline2, WrongPathFetchDoesNotReachOs)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(20000);
+    Pipeline::runInstrs({pipe.get()}, 20000);
     // The syscall commits only as often as the branch actually falls
     // through (~3%), never from wrong-path fetches.
     std::size_t syscalls = 0;
@@ -368,7 +370,8 @@ TEST_F(Pipeline2, SquashReleasesRenameRegisters)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(60000); // would panic on wedge via the watchdog
+    // Would panic on wedge via the watchdog.
+    Pipeline::runInstrs({pipe.get()}, 60000);
     EXPECT_GE(pipe->stats().totalRetired(), 60000u);
 }
 
@@ -388,7 +391,7 @@ TEST_F(Pipeline2, ZeroIssueAndZeroFetchTracked)
     user->finalize();
     wire();
     pipe->bindThread(0, &makeThread(0));
-    pipe->runInstrs(5000);
+    Pipeline::runInstrs({pipe.get()}, 5000);
     EXPECT_GT(pipe->stats().zeroIssueCycles, 1000u);
     EXPECT_GT(pipe->stats().zeroFetchCycles, 100u);
 }
@@ -413,7 +416,7 @@ TEST_F(Pipeline2, SuperscalarHasSevenStagePenalty)
     nine.pipelineStages = 9;
     wire(nine);
     pipe->bindThread(0, &makeThread(0, 0));
-    pipe->runInstrs(30000);
+    Pipeline::runInstrs({pipe.get()}, 30000);
     const Cycle c9 = pipe->now();
 
     CoreParams seven;
@@ -421,7 +424,7 @@ TEST_F(Pipeline2, SuperscalarHasSevenStagePenalty)
     seven.pipelineStages = 7;
     wire(seven);
     pipe->bindThread(0, &makeThread(0, 1));
-    pipe->runInstrs(30000);
+    Pipeline::runInstrs({pipe.get()}, 30000);
     const Cycle c7 = pipe->now();
     EXPECT_LT(c7, c9);
 }

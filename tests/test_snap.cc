@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -281,6 +282,108 @@ TEST(SnapArtifact, RejectsCorruptTruncatedAndVersionSkew)
     }
     // Empty.
     rejects({});
+}
+
+// ===== resume rejects malformed artifacts instead of aborting =====
+
+namespace {
+
+/** Byte offset of the first @p tag section header in @p artifact. */
+std::size_t
+sectionAt(const std::vector<std::uint8_t> &artifact, const char *tag)
+{
+    std::size_t pos = 8 + 4 + 8 + 8; // magic, format, length, checksum
+    while (pos + 16 <= artifact.size()) {
+        if (std::memcmp(artifact.data() + pos, tag, 4) == 0)
+            return pos;
+        std::uint64_t len;
+        std::memcpy(&len, artifact.data() + pos + 8, sizeof len);
+        pos += 16 + len;
+    }
+    ADD_FAILURE() << "artifact has no " << tag << " section";
+    return 0;
+}
+
+/** Overwrite the field at @p at with @p v, then recompute the payload
+ *  checksum so only the edited field can cause a rejection. */
+template <typename T>
+void
+patchAndReseal(std::vector<std::uint8_t> &artifact, std::size_t at, T v)
+{
+    std::memcpy(artifact.data() + at, &v, sizeof v);
+    const std::uint64_t sum =
+        snapshotChecksum(artifact.data() + 28, artifact.size() - 28);
+    std::memcpy(artifact.data() + 20, &sum, sizeof sum);
+}
+
+void
+expectRejected(const std::vector<std::uint8_t> &artifact,
+               const std::string &mention)
+{
+    std::string err;
+    EXPECT_EQ(Session::resume(artifact, Session::ResumeOptions{}, &err),
+              nullptr);
+    EXPECT_NE(err.find(mention), std::string::npos) << err;
+}
+
+std::vector<std::uint8_t>
+startupArtifact(Session::Config cfg, ObsSession *obs = nullptr)
+{
+    cfg.obs = obs;
+    Session s(cfg);
+    s.runStartup();
+    return s.snapshot();
+}
+
+} // namespace
+
+// CFG v3 exists only for 2..16 cores: a count of 1 would build a
+// single-core machine the per-core sections cannot fill, and 17 is
+// past the topology limit.
+TEST(SnapResume, RejectsCmpCoreCountOutsideTwoToSixteen)
+{
+    Session::Config cfg =
+        configFor({WorkloadConfig::Kind::SpecInt, 2, true, false});
+    cfg.system.topology.cores = 2;
+    const std::vector<std::uint8_t> artifact = startupArtifact(cfg);
+    const std::size_t at = sectionAt(artifact, "CFG ");
+    std::uint64_t len;
+    std::memcpy(&len, artifact.data() + at + 8, sizeof len);
+    for (const std::int32_t cores : {1, 17}) {
+        std::vector<std::uint8_t> bad = artifact;
+        patchAndReseal(bad, at + 16 + len - 4, cores);
+        expectRejected(bad, "cores");
+    }
+}
+
+// A fault-plan flag that contradicts the config section's plan shape.
+TEST(SnapResume, RejectsFaultPlanFlagContradictingConfig)
+{
+    std::vector<std::uint8_t> bad = startupArtifact(
+        configFor({WorkloadConfig::Kind::SpecInt, 2, true, false}));
+    const std::size_t at = sectionAt(bad, "FLTP");
+    ASSERT_EQ(bad[at + 16], 0); // the config declares no plan
+    patchAndReseal(bad, at + 16, std::uint8_t{1});
+    expectRejected(bad, "FLTP");
+}
+
+TEST(SnapResume, RejectsCosimSectionVersionSkew)
+{
+    std::vector<std::uint8_t> bad = startupArtifact(
+        configFor({WorkloadConfig::Kind::SpecInt, 2, true, false}));
+    patchAndReseal(bad, sectionAt(bad, "COSM") + 4, std::uint32_t{2});
+    expectRejected(bad, "COSM section version 2");
+}
+
+TEST(SnapResume, RejectsTracerSectionVersionSkew)
+{
+    ObsConfig oc;
+    oc.reqtrace = true;
+    ObsSession obs(oc);
+    std::vector<std::uint8_t> bad = startupArtifact(
+        configFor({WorkloadConfig::Kind::Apache, 2, true, false}), &obs);
+    patchAndReseal(bad, sectionAt(bad, "RQTR") + 4, std::uint32_t{2});
+    expectRejected(bad, "RQTR section version 2");
 }
 
 // The sweep engine is restore fan-out: every point must reproduce the
