@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -17,6 +20,8 @@
 #include "harness/session.h"
 #include "mem/coherence.h"
 #include "mem/hierarchy.h"
+#include "obs/profiler.h"
+#include "obs/session.h"
 #include "sim/export.h"
 #include "snap/snapshot.h"
 
@@ -454,6 +459,62 @@ TEST(PinnedBytes, Apache4x4)
 {
     expectPinned(smpApache(4, 4), 0xff70ef6b499d7e85ull,
                  0x0d546cbc7e5a9a81ull);
+}
+
+namespace {
+
+/**
+ * FNV-1a digests of the cycle-attribution profiler report and of the
+ * Perfetto trace.json of a short profiled run, recorded before issue
+ * and execute became event-driven (producer->consumer wakeup). They
+ * pin issue-slot attribution and per-uop event order, which the
+ * artifact and metrics digests above do not see.
+ */
+void
+expectPinnedObs(Session::Config cfg, const std::string &name,
+                std::uint64_t report, std::uint64_t timeline)
+{
+    const std::string path =
+        ::testing::TempDir() + "/pinned_" + name + ".json";
+    std::string rep;
+    {
+        ObsConfig oc;
+        oc.profile = true;
+        oc.reportPath = ::testing::TempDir() + "/pinned_" + name + ".txt";
+        oc.timelinePath = path;
+        ObsSession obs(oc);
+        cfg.obs = &obs;
+        Session s(cfg);
+        s.run();
+        std::ostringstream os;
+        obs.profiler()->writeReport(os);
+        rep = os.str();
+        std::remove(oc.reportPath.c_str());
+    }
+    std::ifstream in(path, std::ios::binary);
+    std::ostringstream tl;
+    tl << in.rdbuf();
+    const std::string trace = tl.str();
+    std::remove(path.c_str());
+    EXPECT_FALSE(trace.empty());
+    const std::uint64_t r = fnv1a(rep.data(), rep.size());
+    const std::uint64_t t = fnv1a(trace.data(), trace.size());
+    EXPECT_EQ(r, report) << std::hex << "report 0x" << r;
+    EXPECT_EQ(t, timeline) << std::hex << "timeline 0x" << t;
+}
+
+} // namespace
+
+TEST(PinnedBytes, ProfileAndTimelineSpecInt1x4)
+{
+    expectPinnedObs(smpSpec(1, 4), "specint1x4", 0x165a92d302fdf25cull,
+                    0xe8c84a910070684bull);
+}
+
+TEST(PinnedBytes, ProfileAndTimelineApache4x4)
+{
+    expectPinnedObs(smpApache(4, 4), "apache4x4", 0xcc869bf3e8b698b6ull,
+                    0x16ab6ac6cf6fdb1cull);
 }
 
 // ===================== SMTOS_CORES =====================
