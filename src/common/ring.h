@@ -55,6 +55,19 @@ class FixedRing
     /** Absolute position the next push_back() will occupy. */
     std::uint64_t tailPos() const { return tail_; }
 
+    /** Backing-array index of absolute position @p pos. */
+    std::size_t slotOf(std::uint64_t pos) const
+    {
+        return static_cast<std::size_t>(pos & mask_);
+    }
+
+    /** Absolute position of the live element in backing slot
+     *  @p slot. */
+    std::uint64_t posOfSlot(std::size_t slot) const
+    {
+        return head_ + ((slot - head_) & mask_);
+    }
+
     /** True when @p pos currently holds a live element. */
     bool livePos(std::uint64_t pos) const
     {

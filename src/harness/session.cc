@@ -760,7 +760,9 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
     // overlaid so arrivals and shed clocks continue bit-identically.
     if (!rs.atEnd() && rs.nextSectionIs("OVLD")) {
         const std::uint32_t ov = rs.enterSection("OVLD");
-        smtos_assert(ov == overloadSectionVersion);
+        if (ov != overloadSectionVersion)
+            return reject("OVLD section version " +
+                          std::to_string(ov));
         OpenLoopParams ol;
         AdmitParams ap;
         overloadParamsIn(rs, ol, ap);
@@ -787,7 +789,9 @@ Session::resume(const std::vector<std::uint8_t> &artifact,
     // resumed run's metrics continue bit-identically.
     if (!rs.atEnd() && rs.nextSectionIs("FIDL")) {
         const std::uint32_t fv = rs.enterSection("FIDL");
-        smtos_assert(fv == fidelitySectionVersion);
+        if (fv != fidelitySectionVersion)
+            return reject("FIDL section version " +
+                          std::to_string(fv));
         Fidelity cfgF = Fidelity::Detailed;
         SampleParams smp;
         fidelityParamsIn(rs, cfgF, smp);

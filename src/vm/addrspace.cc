@@ -4,12 +4,10 @@
 
 namespace smtos {
 
-std::atomic<bool> AddrSpace::hostCacheEnabled_{true};
-
 std::int64_t
 AddrSpace::translate(Addr vpn) const
 {
-    if (hostCacheEnabled()) {
+    if (mem_->hostTranslationCache()) {
         Way &w = pageCache_[slotOf(vpn)];
         if (w.vpn == vpn)
             return static_cast<std::int64_t>(w.frame);
@@ -71,7 +69,7 @@ AddrSpace::ptePhysAddr(Addr vpn)
     const Addr pt_index = vpn / ptesPerPage;
     Frame f;
     Way &w = ptCache_[slotOf(pt_index)];
-    if (hostCacheEnabled() && w.vpn == pt_index) {
+    if (mem_->hostTranslationCache() && w.vpn == pt_index) {
         f = w.frame;
     } else {
         auto it = ptPages_.find(pt_index);

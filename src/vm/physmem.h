@@ -54,6 +54,16 @@ class PhysMem
     /** Frames handed out and not yet freed. */
     std::uint64_t allocated() const { return allocated_; }
 
+    /**
+     * Enable/disable the host translation caches of every address
+     * space over this memory (on by default). They are a pure host
+     * optimization, so the setting never changes simulated results;
+     * the perf suite turns it off on the machine it builds to prove
+     * that. Not snapshot state.
+     */
+    void setHostTranslationCache(bool on) { hostTranslationCache_ = on; }
+    bool hostTranslationCache() const { return hostTranslationCache_; }
+
     static constexpr std::uint32_t snapVersion = 1;
     void save(Snapshotter &sp) const;
     void load(Restorer &rs);
@@ -64,6 +74,7 @@ class PhysMem
     Frame bump_;
     std::vector<Frame> freeList_;
     std::uint64_t allocated_ = 0;
+    bool hostTranslationCache_ = true;
 };
 
 } // namespace smtos

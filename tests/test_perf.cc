@@ -26,7 +26,7 @@
 #include "sim/config.h"
 #include "sim/export.h"
 #include "sim/system.h"
-#include "vm/addrspace.h"
+#include "vm/physmem.h"
 #include "workload/apache.h"
 #include "workload/specint.h"
 
@@ -50,11 +50,11 @@ perfSpec(WorkloadConfig::Kind wl, int contexts)
 std::string
 metricsJson(const Session::Config &spec, bool fast_forward, bool host_cache)
 {
-    AddrSpace::setHostCacheEnabled(host_cache);
     Session::Config s = spec;
     s.system.fastForward = fast_forward;
-    const RunResult r = Session(s).run();
-    AddrSpace::setHostCacheEnabled(true);
+    Session session(s);
+    session.system().physMem().setHostTranslationCache(host_cache);
+    const RunResult r = session.run();
     return toJson(r.steady);
 }
 
@@ -160,7 +160,6 @@ TEST(PerfIdentityArtifacts, TimelineAndFaultLogIdentical)
     // fault log must match byte for byte.
     const std::string dir = ::testing::TempDir();
     auto run = [&](bool fast, const std::string &trace_path) {
-        AddrSpace::setHostCacheEnabled(fast);
         ObsConfig oc;
         oc.timelinePath = trace_path;
         ObsSession obs(oc);
@@ -169,8 +168,9 @@ TEST(PerfIdentityArtifacts, TimelineAndFaultLogIdentical)
         s.system.fastForward = fast;
         s.obs = &obs;
         s.faultPlan = &plan;
-        Session(s).run();
-        AddrSpace::setHostCacheEnabled(true);
+        Session session(s);
+        session.system().physMem().setHostTranslationCache(fast);
+        session.run();
         return plan.logText();
     };
     const std::string log_fast = run(true, dir + "/perf_fast.json");

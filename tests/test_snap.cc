@@ -166,16 +166,16 @@ TEST(SnapTimeline, ResumedTimelineIsByteIdentical)
     const std::string straightPath = "snap_tl_straight.json";
     const std::string replayPath = "snap_tl_replay.json";
 
+    // The straight run's ObsSession is declared before its Session
+    // so it outlives it: ~Session finishes the attached sinks.
+    ObsConfig straightOc;
+    straightOc.timelinePath = straightPath;
+    ObsSession straightObs(straightOc);
     Session origin(cfg);
     origin.runStartup();
     const std::vector<std::uint8_t> artifact = origin.snapshot();
-    {
-        ObsConfig oc;
-        oc.timelinePath = straightPath;
-        ObsSession obs(oc);
-        origin.attachObs(obs);
-        origin.runMeasurement();
-    }
+    origin.attachObs(straightObs);
+    origin.runMeasurement();
     {
         ObsConfig oc;
         oc.timelinePath = replayPath;
@@ -384,6 +384,27 @@ TEST(SnapResume, RejectsTracerSectionVersionSkew)
         configFor({WorkloadConfig::Kind::Apache, 2, true, false}), &obs);
     patchAndReseal(bad, sectionAt(bad, "RQTR") + 4, std::uint32_t{2});
     expectRejected(bad, "RQTR section version 2");
+}
+
+TEST(SnapResume, RejectsOverloadSectionVersionSkew)
+{
+    Session::Config cfg =
+        configFor({WorkloadConfig::Kind::Apache, 2, true, false});
+    cfg.workload.openLoop.enabled = true;
+    cfg.workload.openLoop.ratePerMcycle = 100.0;
+    std::vector<std::uint8_t> bad = startupArtifact(cfg);
+    patchAndReseal(bad, sectionAt(bad, "OVLD") + 4, std::uint32_t{2});
+    expectRejected(bad, "OVLD section version 2");
+}
+
+TEST(SnapResume, RejectsFidelitySectionVersionSkew)
+{
+    Session::Config cfg =
+        configFor({WorkloadConfig::Kind::SpecInt, 2, true, false});
+    cfg.fidelity = Fidelity::Functional;
+    std::vector<std::uint8_t> bad = startupArtifact(cfg);
+    patchAndReseal(bad, sectionAt(bad, "FIDL") + 4, std::uint32_t{2});
+    expectRejected(bad, "FIDL section version 2");
 }
 
 // The sweep engine is restore fan-out: every point must reproduce the
