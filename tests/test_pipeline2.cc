@@ -2,8 +2,8 @@
  * @file
  * Deeper pipeline scenarios: issue-width enforcement, serializing
  * ordering, interrupt interleaving with kernel code, target
- * mispredictions, filter modes, fetch policies, and multi-context
- * fairness.
+ * mispredictions, filter modes, fetch policies, multi-context
+ * fairness, and the corner cases of event-driven wakeup and select.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include "core/pipeline.h"
 #include "isa/codegen.h"
 #include "kernel/layout.h"
+#include "snap/snapshot.h"
 #include "vm/physmem.h"
 
 using namespace smtos;
@@ -59,6 +60,8 @@ class RecorderOs : public OsCallbacks
 
     void cycleHook(Cycle) override {}
 
+    Cycle nextEventAt() const override { return nextEvent; }
+
     Addr
     magicTranslate(ThreadState &, Addr vaddr, bool) override
     {
@@ -71,7 +74,31 @@ class RecorderOs : public OsCallbacks
     std::vector<int> order;
     std::vector<int> interrupts;
     int dtlbMisses = 0;
+    /** 0 ("every cycle") keeps quiescence fast-forward off. */
+    Cycle nextEvent = 0;
 };
+
+/** A register-to-register instruction. */
+Instr
+regOp(Op op, int dest, int src)
+{
+    Instr in;
+    in.op = op;
+    in.dest = static_cast<std::uint8_t>(dest);
+    in.srcA = static_cast<std::uint8_t>(src);
+    return in;
+}
+
+/** A load into @p dest whose address needs no register. */
+Instr
+loadOp(CodeGen &g, int dest, MemPattern p, int region,
+       std::uint32_t stride, bool physical)
+{
+    Instr in = g.makeLoad(p, region, 0, stride, physical);
+    in.srcA = regNone;
+    in.dest = static_cast<std::uint8_t>(dest);
+    return in;
+}
 
 class Pipeline2 : public testing::Test
 {
@@ -84,12 +111,12 @@ class Pipeline2 : public testing::Test
     }
 
     void
-    wire(CoreParams cp = CoreParams{})
+    wire(CoreParams cp = CoreParams{}, HierarchyParams hp = {})
     {
         if (!kernel->finalized())
             kernel->finalize();
-        l2 = std::make_unique<L2Complex>(HierarchyParams{});
-        hier = std::make_unique<Hierarchy>(HierarchyParams{}, *l2);
+        l2 = std::make_unique<L2Complex>(hp);
+        hier = std::make_unique<Hierarchy>(hp, *l2);
         pipe = std::make_unique<Pipeline>(cp, *hier, kernel.get());
         os = std::make_unique<RecorderOs>(pipe->itlb(), pipe->dtlb());
         os->images = ImageSet{user.get(), kernel.get()};
@@ -115,6 +142,68 @@ class Pipeline2 : public testing::Test
         t->regions[2] = MemRegion{0x70000000, 1 << 16};
         threads.push_back(std::move(t));
         return *threads.back();
+    }
+
+    /** Tick @p n cycles, auditing the pipeline after every one. */
+    void
+    stepAudited(int n)
+    {
+        for (int i = 0; i < n; ++i) {
+            pipe->cycle();
+            const std::string audit = pipe->auditInvariants();
+            ASSERT_EQ(audit, "") << "after cycle " << pipe->now();
+        }
+    }
+
+    /**
+     * Run a thread on context 0 from @p entry until it halts, so the
+     * code, its translations and its data lines are warm for the next
+     * thread that runs the same function.
+     */
+    void
+    warmUp(int entry)
+    {
+        pipe->bindThread(0, &makeThread(entry, 0));
+        for (int i = 0; i < 5000 && os->order.empty(); ++i)
+            pipe->cycle();
+        ASSERT_FALSE(os->order.empty()) << "warm-up thread never halted";
+        stepAudited(20);
+    }
+
+    std::vector<std::uint8_t>
+    pipelineBytes()
+    {
+        Snapshotter sp;
+        sp.beginSection("PIPE", Pipeline::snapVersion);
+        pipe->save(sp, images());
+        sp.endSection();
+        return sp.finish();
+    }
+
+    /** Restore the pipeline from its own snapshot, which rebuilds the
+     *  derived wakeup state from the windows. */
+    void
+    selfRestore()
+    {
+        Restorer rs(pipelineBytes());
+        ASSERT_TRUE(rs.ok()) << rs.error();
+        rs.enterSection("PIPE");
+        pipe->load(rs, images(), [this](ThreadId id) {
+            for (auto it = threads.rbegin(); it != threads.rend(); ++it)
+                if ((*it)->id == id)
+                    return it->get();
+            return static_cast<ThreadState *>(nullptr);
+        });
+        rs.leaveSection();
+    }
+
+    SnapImages
+    images() const
+    {
+        SnapImages im;
+        im.add(kernel.get());
+        im.add(user.get());
+        return im;
     }
 
     std::unique_ptr<CodeImage> user, kernel;
@@ -427,4 +516,212 @@ TEST_F(Pipeline2, SuperscalarHasSevenStagePenalty)
     Pipeline::runInstrs({pipe.get()}, 30000);
     const Cycle c7 = pipe->now();
     EXPECT_LT(c7, c9);
+}
+
+// ===== event-driven wakeup and select =====
+
+namespace {
+
+/** mul r1 <- r2, @p waiters uops waiting on r1, an independent alu,
+ *  halt. Returns the function index. */
+int
+emitBehindWaiters(CodeImage &img, int waiters)
+{
+    const int f = img.beginFunction("behind" + std::to_string(waiters));
+    img.beginBlock();
+    img.emit(regOp(Op::IntMul, 1, 2));
+    for (int i = 0; i < waiters; ++i)
+        img.emit(regOp(Op::IntAlu, 3, 1));
+    img.emit(regOp(Op::IntAlu, 5, 4));
+    Instr halt;
+    halt.op = Op::Halt;
+    img.emit(halt);
+    return f;
+}
+
+} // namespace
+
+TEST_F(Pipeline2, ReadyUopBehindTwentyFourWaitingIsNotSelected)
+{
+    // Once the mul issues, its waiters are the oldest unissued uops
+    // of the context. Behind 24 of them the ready alu is outside the
+    // issue window until the mul's result wakes them; behind 23 it is
+    // the 24th and issues while the mul is still executing.
+    const int f24 = emitBehindWaiters(*user, 24);
+    const int f23 = emitBehindWaiters(*user, 23);
+    user->finalize();
+    auto issuedWhileMulRuns = [this](int entry) -> std::uint64_t {
+        wire();
+        warmUp(entry);
+        pipe->bindThread(1, &makeThread(entry, 1));
+        const std::uint64_t before = pipe->stats().issued;
+        for (int i = 0; i < 100 && pipe->stats().issued == before; ++i)
+            stepAudited(1);
+        EXPECT_EQ(pipe->stats().issued, before + 1) << "the mul issues alone";
+        // The mul completes intMulLatency cycles after it issued.
+        stepAudited(static_cast<int>(CoreParams{}.intMulLatency) - 1);
+        return pipe->stats().issued - before;
+    };
+    EXPECT_EQ(issuedWhileMulRuns(f24), 1u);
+    EXPECT_EQ(issuedWhileMulRuns(f23), 2u);
+}
+
+TEST_F(Pipeline2, SquashedProducersAndWaitersLeaveNoWakeupState)
+{
+    // A serial mul chain (r6) keeps producers unissued while an
+    // unpredictable branch resolves, so mispredicts squash waiters of
+    // surviving producers (r6) and wrong-path producers together with
+    // their own waiters (r1).
+    user->beginFunction("main", -1);
+    user->beginBlock();
+    user->emit(regOp(Op::IntMul, 6, 6));
+    user->emit(gu.makeCond(2, 0.5));
+    user->beginBlock();
+    user->emit(regOp(Op::IntMul, 1, 2));
+    user->emit(regOp(Op::IntAlu, 3, 1));
+    user->emit(regOp(Op::IntAlu, 3, 1));
+    user->emit(regOp(Op::IntAlu, 7, 6));
+    user->emit(gu.makeJump(0));
+    user->beginBlock();
+    user->emit(regOp(Op::IntAlu, 8, 6));
+    user->emit(regOp(Op::IntMul, 1, 2));
+    user->emit(regOp(Op::IntAlu, 3, 1));
+    user->emit(gu.makeJump(0));
+    user->finalize();
+    wire();
+    pipe->bindThread(0, &makeThread(0, 0));
+    pipe->bindThread(1, &makeThread(0, 1));
+    stepAudited(20000);
+    EXPECT_GT(pipe->stats().condMispred[0], 100u);
+    EXPECT_GT(pipe->stats().squashed, 1000u);
+    EXPECT_GT(pipe->stats().totalRetired(), 5000u);
+}
+
+TEST_F(Pipeline2, DtlbTrapSquashLeavesNoWakeupState)
+{
+    // A load walking fresh pages traps at resolve; the trap squashes
+    // it with its waiter (r5) and a waiter (r6) of an older mul that
+    // survives the squash.
+    user->beginFunction("main", -1);
+    user->beginBlock();
+    user->emit(regOp(Op::IntMul, 1, 1));
+    user->emit(loadOp(gu, 4, MemPattern::SeqStream, 0, 512, false));
+    user->emit(regOp(Op::IntAlu, 5, 4));
+    user->emit(regOp(Op::IntAlu, 6, 1));
+    user->emit(gu.makeJump(0));
+    user->finalize();
+    wire();
+    pipe->bindThread(0, &makeThread(0));
+    stepAudited(30000);
+    EXPECT_GT(os->dtlbMisses, 10);
+    EXPECT_GT(pipe->stats().totalRetired(), 5000u);
+}
+
+TEST_F(Pipeline2, LoadReadyAtIssueWakesConsumerNextCycle)
+{
+    // With a zero-cycle L1 hit the load's readyAt is its issue cycle;
+    // its consumer still issues one cycle later, never with it.
+    const int f = user->beginFunction("main", -1);
+    user->beginBlock();
+    user->emit(loadOp(gu, 1, MemPattern::SeqStream, 0, 0, true));
+    user->emit(regOp(Op::IntAlu, 3, 1));
+    Instr halt;
+    halt.op = Op::Halt;
+    user->emit(halt);
+    user->finalize();
+    HierarchyParams hp;
+    hp.l1HitLatency = 0;
+    wire(CoreParams{}, hp);
+    warmUp(f);
+    pipe->bindThread(1, &makeThread(f, 1));
+    const std::uint64_t before = pipe->stats().issued;
+    for (int i = 0; i < 100 && pipe->stats().issued == before; ++i)
+        stepAudited(1);
+    EXPECT_EQ(pipe->stats().issued, before + 1) << "the load issues alone";
+    stepAudited(1);
+    EXPECT_EQ(pipe->stats().issued, before + 2)
+        << "the consumer issues the next cycle";
+}
+
+TEST_F(Pipeline2, FastForwardAcrossPendingCompletionsIsExact)
+{
+    // Loads that miss to memory head a window that fills with done
+    // uops: the context is quiescent with completions pending, and
+    // fast-forward must land on each of them exactly as ticking every
+    // cycle would.
+    user->beginFunction("main", -1);
+    user->beginBlock();
+    user->emit(loadOp(gu, 1, MemPattern::RandomInRegion, 1, 8, true));
+    // No destinations: rename registers must not stop fetch first.
+    Instr nop;
+    nop.op = Op::Nop;
+    for (int i = 0; i < 14; ++i)
+        user->emit(nop);
+    user->emit(gu.makeJump(0));
+    user->finalize();
+    auto run = [this](bool ff) {
+        wire();
+        pipe->setFastForward(ff);
+        os->nextEvent = ~Cycle{0};
+        ThreadState &t = makeThread(0);
+        t.regions[1] = MemRegion{0x40000000, 64ull << 20};
+        pipe->bindThread(0, &t);
+        for (int i = 0; i < 40; ++i) {
+            Pipeline::runCycles({pipe.get()}, 250);
+            EXPECT_EQ(pipe->auditInvariants(), "");
+        }
+        return pipe->stats();
+    };
+    const CoreStats ticked = run(false);
+    EXPECT_EQ(pipe->fastForwardedCycles(), 0u);
+    const CoreStats skipped = run(true);
+    EXPECT_GT(pipe->fastForwardedCycles(), 1000u);
+    EXPECT_EQ(skipped.cycles, ticked.cycles);
+    EXPECT_EQ(skipped.fetched, ticked.fetched);
+    EXPECT_EQ(skipped.issued, ticked.issued);
+    EXPECT_EQ(skipped.totalRetired(), ticked.totalRetired());
+    EXPECT_EQ(skipped.zeroIssueCycles, ticked.zeroIssueCycles);
+    EXPECT_EQ(skipped.zeroFetchCycles, ticked.zeroFetchCycles);
+    EXPECT_GT(ticked.totalRetired(), 1000u);
+}
+
+TEST_F(Pipeline2, ResumeWithConsumersMidWaitIsByteIdentical)
+{
+    // Restoring a pipeline from its own snapshot rebuilds the wakeup
+    // state from the windows alone; the run must continue exactly as
+    // the straight run does, at any cycle of a mul chain's waits.
+    user->beginFunction("main", -1);
+    user->beginBlock();
+    user->emit(regOp(Op::IntMul, 6, 6));
+    user->emit(loadOp(gu, 4, MemPattern::SeqStream, 0, 64, true));
+    user->emit(gu.makeCond(2, 0.5));
+    user->beginBlock();
+    user->emit(regOp(Op::IntMul, 1, 4));
+    user->emit(regOp(Op::IntAlu, 3, 1));
+    user->emit(regOp(Op::IntAlu, 7, 6));
+    user->emit(gu.makeJump(0));
+    user->beginBlock();
+    user->emit(regOp(Op::IntAlu, 8, 6));
+    user->emit(regOp(Op::IntAlu, 9, 4));
+    user->emit(gu.makeJump(0));
+    user->finalize();
+    constexpr int total = 1500;
+    auto start = [this] {
+        wire();
+        pipe->bindThread(0, &makeThread(0, 0));
+        pipe->bindThread(1, &makeThread(0, 1));
+    };
+    start();
+    stepAudited(total);
+    const std::vector<std::uint8_t> straight = pipelineBytes();
+    for (const int k : {300, 301, 302, 305, 310, 347, 600, 999}) {
+        start();
+        stepAudited(k);
+        EXPECT_GT(pipe->ctx(0).unissued + pipe->ctx(1).unissued, 0)
+            << "nothing waits at cycle " << k;
+        selfRestore();
+        EXPECT_EQ(pipe->auditInvariants(), "") << "restored at " << k;
+        stepAudited(total - k);
+        EXPECT_TRUE(pipelineBytes() == straight) << "restored at " << k;
+    }
 }
