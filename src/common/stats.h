@@ -6,6 +6,7 @@
 #ifndef SMTOS_COMMON_STATS_H
 #define SMTOS_COMMON_STATS_H
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -157,9 +158,42 @@ class Histogram
 class CounterMap
 {
   public:
+    /**
+     * A counter name interned for a per-cycle path: add(Key) finds the
+     * name's map entry on its first count and keeps a pointer to it,
+     * so later counts are one increment, with no string built and no
+     * lookup. The keys used with one map need distinct slots.
+     */
+    struct Key
+    {
+        std::uint8_t slot;
+        const char *name;
+    };
+    static constexpr std::size_t maxKeys = 8;
+
+    CounterMap() = default;
+    /** Copies share no cached entry with their source. */
+    CounterMap(const CounterMap &o) : counts_(o.counts_) {}
+    CounterMap &
+    operator=(const CounterMap &o)
+    {
+        counts_ = o.counts_;
+        cells_ = {};
+        return *this;
+    }
+
     void add(const std::string &name, std::uint64_t n = 1)
     {
         counts_[name] += n;
+    }
+
+    void
+    add(const Key &k, std::uint64_t n = 1)
+    {
+        std::uint64_t *&cell = cells_[k.slot];
+        if (!cell)
+            cell = &counts_[k.name];
+        *cell += n;
     }
 
     std::uint64_t get(const std::string &name) const;
@@ -169,7 +203,12 @@ class CounterMap
         return counts_;
     }
 
-    void reset() { counts_.clear(); }
+    void
+    reset()
+    {
+        counts_.clear();
+        cells_ = {};
+    }
 
     static constexpr std::uint32_t snapVersion = 1;
     void save(Snapshotter &sp) const;
@@ -177,6 +216,9 @@ class CounterMap
 
   private:
     std::map<std::string, std::uint64_t> counts_;
+    /** Entries of counts_ found by add(Key), by slot (map nodes never
+     *  move, so these stay valid until counts_ is cleared). */
+    std::array<std::uint64_t *, maxKeys> cells_{};
 };
 
 } // namespace smtos

@@ -122,6 +122,19 @@ struct CoreParams
     Cycle redirectPenalty() const { return issueDelay() + 1; }
 };
 
+/** The kernelEntries counters the per-cycle paths count: fetch stop
+ *  reasons (first fetch attempt of a context in a cycle) and traps. */
+namespace kentry {
+inline constexpr CounterMap::Key fsStuck{0, "fs_stuck"};
+inline constexpr CounterMap::Key fsImiss{1, "fs_imiss"};
+inline constexpr CounterMap::Key fsIq{2, "fs_iq"};
+inline constexpr CounterMap::Key fsRename{3, "fs_rename"};
+inline constexpr CounterMap::Key fsInflight{4, "fs_inflight"};
+inline constexpr CounterMap::Key itlbMiss{5, "itlb_miss"};
+inline constexpr CounterMap::Key dtlbMiss{6, "dtlb_miss"};
+inline constexpr CounterMap::Key interrupt{7, "interrupt"};
+} // namespace kentry
+
 /** Aggregate pipeline statistics (inputs to the paper's tables). */
 struct CoreStats
 {

@@ -108,7 +108,7 @@ Pipeline::funcCycle()
         c.lastFetchLine = ~0ull;
         if (c.interruptPending && c.hasThread()) {
             c.interruptPending = false;
-            stats_.kernelEntries.add("interrupt");
+            stats_.kernelEntries.add(kentry::interrupt);
             ThreadState &t = *c.thread;
             os_->interrupt(c, t, c.interruptVector);
             if (obs_) {
@@ -122,11 +122,12 @@ Pipeline::funcCycle()
     // Execute up to a fetch-width batch, round-robined across
     // contexts from a clock-derived start (stateless rotation, so a
     // snapshot/restore cannot skew fairness).
-    const int nc = static_cast<int>(ctxs_.size());
-    const int start = static_cast<int>(now_ % static_cast<Cycle>(nc));
+    const std::size_t nc = ctxs_.size();
+    std::size_t i = static_cast<std::size_t>(now_ % nc);
     int budget = params_.fetchWidth;
-    for (int k = 0; k < nc && budget > 0; ++k) {
-        Context &c = ctxs_[static_cast<size_t>((start + k) % nc)];
+    for (std::size_t k = 0; k < nc && budget > 0;
+         ++k, i = (i + 1 == nc) ? 0 : i + 1) {
+        Context &c = ctxs_[i];
         if (!c.hasThread())
             continue;
         while (budget > 0) {
@@ -192,7 +193,7 @@ Pipeline::funcStep(Context &c)
                 // Software-managed refill, same trap path as the
                 // detailed core; the handler's instructions execute
                 // on this context's next step.
-                stats_.kernelEntries.add("itlb_miss");
+                stats_.kernelEntries.add(kentry::itlbMiss);
                 os_->itlbMiss(t, pc);
                 if (obs_)
                     obs_->onThreadStateSync(t, *seqPtr_);
@@ -297,7 +298,7 @@ Pipeline::funcStep(Context &c)
                     // post-draw checkpoint restore (same RNG state,
                     // same replayed address).
                     cur.setRetryVaddr(vaddr);
-                    stats_.kernelEntries.add("dtlb_miss");
+                    stats_.kernelEntries.add(kentry::dtlbMiss);
                     smtos_trace(TraceCat::Tlb,
                                 "ctx%d dtlb miss vaddr=0x%llx", c.id,
                                 (unsigned long long)vaddr);

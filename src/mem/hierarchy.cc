@@ -30,7 +30,7 @@ L2Complex::fill(Addr paddr, const AccessInfo &who, bool is_write,
     if (l2_out.hit)
         return l1l2Bus_.transfer(l2_done, l1_line_bytes);
     const int line = l2_.params().lineBytes;
-    const Addr block = paddr / static_cast<Addr>(line);
+    const Addr block = l2_.blockOf(paddr);
     MshrGrant g2 = l2Mshr_.request(block, l2_done);
     Cycle l2_ready;
     if (g2.merged) {
@@ -62,7 +62,7 @@ Hierarchy::missPath(Cache &l1, Addr paddr, const AccessInfo &who,
                     bool is_write, Cycle now, bool is_ifetch)
 {
     MemResult res;
-    const Addr block = paddr / static_cast<Addr>(l1.params().lineBytes);
+    const Addr block = l1.blockOf(paddr);
 
     MshrGrant grant = l1Mshr_.request(block, now);
     if (grant.merged) {
@@ -102,8 +102,7 @@ Hierarchy::data(Addr paddr, const AccessInfo &who, bool is_write,
     if (out.hit) {
         MemResult res;
         res.l1Hit = true;
-        const Cycle fill = l1Mshr_.hitUnderFill(
-            paddr / static_cast<Addr>(l1d_.params().lineBytes), now);
+        const Cycle fill = l1Mshr_.hitUnderFill(l1d_.blockOf(paddr), now);
         res.readyAt = std::max(now + params_.l1HitLatency, fill);
         // A store hitting a clean (Shared) line must still own it:
         // invalidate remote copies and pay the upgrade broadcast.
@@ -143,8 +142,7 @@ Hierarchy::fetch(Addr paddr, const AccessInfo &who, Cycle now)
     if (out.hit) {
         MemResult res;
         res.l1Hit = true;
-        const Cycle fill = l1Mshr_.hitUnderFill(
-            paddr / static_cast<Addr>(l1i_.params().lineBytes), now);
+        const Cycle fill = l1Mshr_.hitUnderFill(l1i_.blockOf(paddr), now);
         res.readyAt = std::max(now + params_.l1HitLatency, fill);
         return res;
     }

@@ -201,7 +201,7 @@ void
 CounterMap::load(Restorer &rs)
 {
     tag(rs, snapVersion);
-    counts_.clear();
+    reset();
     const std::uint64_t n = rs.u64();
     for (std::uint64_t i = 0; i < n; ++i) {
         std::string k = rs.str();
@@ -319,6 +319,7 @@ MshrFile::load(Restorer &rs)
     merges_ = rs.u64();
     fullStalls_ = rs.u64();
     occupancyIntegral_ = rs.f64();
+    rebuildFilter();
 }
 
 // --- mem/storebuffer.h ---

@@ -373,6 +373,32 @@ TEST(InvariantAuditor, CleanRunPassesPlantedCorruptionFails)
     EXPECT_NE(report.find("accept"), std::string::npos) << report;
 }
 
+// Audited after every cycle, a short Apache run on 4 cores x 4
+// contexts and a SPECInt run on one 8-context core find nothing: the
+// auditor recomputes the wakeup state from scratch each time and
+// panics on the first finding.
+TEST(InvariantAuditor, EveryCycleAuditFindsNothing)
+{
+    auto audited = [](int cores, int contexts, WorkloadConfig::Kind kind) {
+        Session::Config cfg;
+        cfg.system.topology.cores = cores;
+        cfg.system.topology.contextsPerCore = contexts;
+        cfg.workload.kind = kind;
+        cfg.workload.spec.inputChunks = 16;
+        cfg.phases.startupInstrs = 50'000;
+        cfg.phases.measureInstrs = 100'000;
+        Session s(cfg);
+        InvariantAuditor auditor(s.system(), 1);
+        s.system().kernel().setAuditor(&auditor);
+        s.run();
+        EXPECT_EQ(auditor.checkNow(), "");
+        EXPECT_GE(auditor.checksRun(), s.system().pipeline().now() - 1);
+        s.system().kernel().setAuditor(nullptr);
+    };
+    audited(4, 4, WorkloadConfig::Kind::Apache);
+    audited(1, 8, WorkloadConfig::Kind::SpecInt);
+}
+
 // The harness builds a plan from Session::Config::faults and reports its
 // counters through the phase deltas.
 TEST(FaultHarness, RunExperimentThreadsFaultParams)

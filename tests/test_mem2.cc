@@ -1,13 +1,19 @@
 /**
  * @file
  * MSHR and store-buffer corner cases: merge and overflow paths,
- * hit-under-fill, full-buffer stalls, and occupancy accounting.
+ * hit-under-fill (and its early-out against a brute-force scan),
+ * full-buffer stalls, and occupancy accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "mem/mshr.h"
 #include "mem/storebuffer.h"
+#include "snap/snapshot.h"
 
 using namespace smtos;
 
@@ -91,6 +97,162 @@ TEST(Mshr, HitUnderFillWaitsForFill)
     EXPECT_EQ(m.hitUnderFill(0x2000, 10), 0u);
     EXPECT_EQ(m.hitUnderFill(0x1000, 75), 0u);
     EXPECT_EQ(m.merges(), 1u);
+}
+
+namespace {
+
+/** The MSHR file as a plain scan over its entries: the reference the
+ *  filtered hitUnderFill must agree with on every call. */
+struct ScanMshr
+{
+    struct Entry
+    {
+        bool valid = false;
+        Addr block = 0;
+        Cycle readyAt = 0;
+    };
+    std::vector<Entry> entries;
+    std::uint64_t fills = 0, merges = 0, fullStalls = 0;
+
+    explicit ScanMshr(int n) : entries(static_cast<std::size_t>(n)) {}
+
+    void
+    release(Cycle now)
+    {
+        for (Entry &e : entries)
+            if (e.valid && e.readyAt <= now)
+                e.valid = false;
+    }
+
+    MshrGrant
+    request(Addr block, Cycle now)
+    {
+        release(now);
+        MshrGrant g;
+        g.startAt = now;
+        for (const Entry &e : entries) {
+            if (e.valid && e.block == block) {
+                ++merges;
+                g.merged = true;
+                g.mergedReadyAt = e.readyAt;
+                return g;
+            }
+        }
+        for (const Entry &e : entries)
+            if (!e.valid)
+                return g;
+        ++fullStalls;
+        Cycle earliest = entries[0].readyAt;
+        for (const Entry &e : entries)
+            earliest = std::min(earliest, e.readyAt);
+        g.startAt = std::max(now, earliest);
+        release(g.startAt);
+        return g;
+    }
+
+    void
+    complete(Addr block, Cycle readyAt)
+    {
+        for (Entry &e : entries) {
+            if (!e.valid) {
+                e = Entry{true, block, readyAt};
+                ++fills;
+                return;
+            }
+        }
+    }
+
+    Cycle
+    hitUnderFill(Addr block, Cycle now)
+    {
+        for (const Entry &e : entries) {
+            if (e.valid && e.block == block && e.readyAt > now) {
+                ++merges;
+                return e.readyAt;
+            }
+        }
+        return 0;
+    }
+
+    int
+    outstanding(Cycle now) const
+    {
+        int n = 0;
+        for (const Entry &e : entries)
+            n += e.valid && e.readyAt > now;
+        return n;
+    }
+};
+
+/** A fresh file restored from @p m's snapshot. */
+MshrFile
+restored(const MshrFile &m, int entries)
+{
+    Snapshotter sp;
+    sp.beginSection("MSHR", MshrFile::snapVersion);
+    m.save(sp);
+    sp.endSection();
+    Restorer rs(sp.finish());
+    MshrFile r("test", entries);
+    rs.enterSection("MSHR");
+    r.load(rs);
+    rs.leaveSection();
+    return r;
+}
+
+} // namespace
+
+TEST(Mshr, FilteredHitUnderFillMatchesScan)
+{
+    // Seeded random request/complete/hitUnderFill/outstanding streams
+    // over a few hot blocks and many cold ones, with times that jitter
+    // backwards as the shared L2's requests do, and a save -> load
+    // half way (the restored file rebuilds its early-out).
+    for (const int entries : {4, 32}) {
+        for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+            std::mt19937_64 rng(seed);
+            MshrFile m("test", entries);
+            ScanMshr ref(entries);
+            Cycle base = 0;
+            int hits_in_flight = 0;
+            for (int step = 0; step < 4000; ++step) {
+                if (step == 2000)
+                    m = restored(m, entries);
+                base += rng() % 3;
+                const Cycle now = base + rng() % 8;
+                const Addr block = rng() % 4 == 0 ? rng() : rng() % 24;
+                switch (rng() % 4) {
+                  case 0: {
+                    const MshrGrant g = m.request(block, now);
+                    const MshrGrant r = ref.request(block, now);
+                    ASSERT_EQ(g.merged, r.merged);
+                    ASSERT_EQ(g.startAt, r.startAt);
+                    ASSERT_EQ(g.mergedReadyAt, r.mergedReadyAt);
+                    if (!g.merged) {
+                        const Cycle ready = g.startAt + 1 + rng() % 150;
+                        m.complete(block, g.startAt, ready);
+                        ref.complete(block, ready);
+                    }
+                    break;
+                  }
+                  case 1:
+                  case 2: {
+                    const Cycle got = m.hitUnderFill(block, now);
+                    ASSERT_EQ(got, ref.hitUnderFill(block, now))
+                        << "seed " << seed << " step " << step;
+                    hits_in_flight += got != 0;
+                    break;
+                  }
+                  default:
+                    ASSERT_EQ(m.outstanding(now), ref.outstanding(now));
+                }
+                ASSERT_EQ(m.merges(), ref.merges);
+            }
+            EXPECT_EQ(m.fills(), ref.fills);
+            EXPECT_EQ(m.fullStalls(), ref.fullStalls);
+            EXPECT_GT(hits_in_flight, 50) << "seed " << seed;
+        }
+    }
 }
 
 TEST(Mshr, OccupancyIntegralSumsFillDurations)

@@ -725,3 +725,155 @@ TEST_F(Pipeline2, ResumeWithConsumersMidWaitIsByteIdentical)
         EXPECT_TRUE(pipelineBytes() == straight) << "restored at " << k;
     }
 }
+
+// ===== events farther out than one turn of the event schedule =====
+
+namespace {
+
+/** A DRAM latency beyond the completion/wakeup calendar's span (256
+ *  cycles), so a memory miss completes more than a turn out. */
+constexpr Cycle farLatency = 1000;
+
+} // namespace
+
+TEST_F(Pipeline2, FarMissCompletesAtItsDoneAt)
+{
+    // A cold physical load and its consumer. The consumer issues, and
+    // the load retires, exactly as much later as the DRAM latency is
+    // longer: a completion (and a wakeup) more than a turn of the
+    // schedule out is neither lost nor delayed a turn.
+    const int f = user->beginFunction("main", -1);
+    user->beginBlock();
+    user->emit(loadOp(gu, 1, MemPattern::SeqStream, 0, 0, true));
+    user->emit(regOp(Op::IntAlu, 3, 1));
+    Instr halt;
+    halt.op = Op::Halt;
+    user->emit(halt);
+    user->finalize();
+    struct Times
+    {
+        Cycle loadIssued = 0, consumerIssued = 0, loadRetired = 0;
+    };
+    auto run = [&](Cycle latency) {
+        HierarchyParams hp;
+        hp.dramLatency = latency;
+        wire(CoreParams{}, hp);
+        warmUp(f);
+        ThreadState &t = makeThread(f, 1);
+        t.regions[0] = MemRegion{0x50000000, 1 << 16};
+        pipe->bindThread(1, &t);
+        Times at;
+        const std::uint64_t issued = pipe->stats().issued;
+        const std::uint64_t retired = pipe->stats().totalRetired();
+        for (int i = 0; i < 3000 && !at.loadRetired; ++i) {
+            stepAudited(1);
+            const std::uint64_t n = pipe->stats().issued - issued;
+            if (n >= 1 && !at.loadIssued)
+                at.loadIssued = pipe->now();
+            if (n >= 2 && !at.consumerIssued)
+                at.consumerIssued = pipe->now();
+            if (pipe->stats().totalRetired() > retired)
+                at.loadRetired = pipe->now();
+        }
+        EXPECT_GT(at.loadIssued, 0u);
+        EXPECT_GT(at.consumerIssued, at.loadIssued);
+        EXPECT_GT(at.loadRetired, 0u);
+        return at;
+    };
+    const Times near = run(100);
+    const Times far = run(farLatency);
+    EXPECT_GT(far.consumerIssued - far.loadIssued, 2 * 256u);
+    EXPECT_EQ(far.consumerIssued - far.loadIssued,
+              near.consumerIssued - near.loadIssued + farLatency - 100);
+    EXPECT_EQ(far.loadRetired - far.loadIssued,
+              near.loadRetired - near.loadIssued + farLatency - 100);
+}
+
+namespace {
+
+/** A loop of physical loads that each open a fresh 4KB window of a
+ *  64MB region (so each misses), optionally with a consumer, then
+ *  nops that fill the window behind them. Returns the function index. */
+int
+emitFarMissLoop(CodeImage &img, CodeGen &g, bool consumer)
+{
+    const int f = img.beginFunction("farmiss", -1);
+    img.beginBlock();
+    img.emit(loadOp(g, 1, MemPattern::RandomInRegion, 1, 160 << 12,
+                    true));
+    if (consumer)
+        img.emit(regOp(Op::IntAlu, 3, 1));
+    Instr nop;
+    nop.op = Op::Nop;
+    for (int i = 0; i < 13; ++i)
+        img.emit(nop);
+    img.emit(g.makeJump(0));
+    return f;
+}
+
+} // namespace
+
+TEST_F(Pipeline2, FastForwardAcrossFarCompletionIsExact)
+{
+    // Quiescent behind misses that complete more than a turn of the
+    // schedule out: fast-forward must find each completion and land on
+    // it exactly as ticking every cycle does.
+    const int f = emitFarMissLoop(*user, gu, false);
+    user->finalize();
+    auto run = [&](bool ff) {
+        HierarchyParams hp;
+        hp.dramLatency = farLatency;
+        wire(CoreParams{}, hp);
+        pipe->setFastForward(ff);
+        os->nextEvent = ~Cycle{0};
+        ThreadState &t = makeThread(f);
+        t.regions[1] = MemRegion{0x40000000, 64ull << 20};
+        pipe->bindThread(0, &t);
+        for (int i = 0; i < 60; ++i) {
+            Pipeline::runCycles({pipe.get()}, 997);
+            EXPECT_EQ(pipe->auditInvariants(), "") << "chunk " << i;
+        }
+        return pipe->stats();
+    };
+    const CoreStats ticked = run(false);
+    EXPECT_EQ(pipe->fastForwardedCycles(), 0u);
+    const CoreStats skipped = run(true);
+    EXPECT_GT(pipe->fastForwardedCycles(), 20000u);
+    EXPECT_EQ(skipped.cycles, ticked.cycles);
+    EXPECT_EQ(skipped.fetched, ticked.fetched);
+    EXPECT_EQ(skipped.issued, ticked.issued);
+    EXPECT_EQ(skipped.totalRetired(), ticked.totalRetired());
+    EXPECT_EQ(skipped.zeroIssueCycles, ticked.zeroIssueCycles);
+    EXPECT_EQ(skipped.zeroFetchCycles, ticked.zeroFetchCycles);
+    EXPECT_GT(ticked.totalRetired(), 500u);
+}
+
+TEST_F(Pipeline2, ResumeMidFarWaitIsByteIdentical)
+{
+    // Restored while a completion (and its consumer's wakeup) lies
+    // more than a turn of the schedule out, the pipeline rebuilds
+    // both from the window and continues exactly as the straight run.
+    const int f = emitFarMissLoop(*user, gu, true);
+    user->finalize();
+    constexpr int total = 6000;
+    auto start = [&] {
+        HierarchyParams hp;
+        hp.dramLatency = farLatency;
+        wire(CoreParams{}, hp);
+        ThreadState &t = makeThread(f);
+        t.regions[1] = MemRegion{0x40000000, 64ull << 20};
+        pipe->bindThread(0, &t);
+    };
+    start();
+    stepAudited(total);
+    const std::vector<std::uint8_t> straight = pipelineBytes();
+    for (const int k : {1500, 1777, 2200, 2900, 3400, 4501}) {
+        start();
+        stepAudited(k);
+        EXPECT_GT(pipe->ctx(0).inflight, 0) << "nothing in flight at " << k;
+        selfRestore();
+        EXPECT_EQ(pipe->auditInvariants(), "") << "restored at " << k;
+        stepAudited(total - k);
+        EXPECT_TRUE(pipelineBytes() == straight) << "restored at " << k;
+    }
+}

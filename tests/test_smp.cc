@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -515,6 +516,109 @@ TEST(PinnedBytes, ProfileAndTimelineApache4x4)
 {
     expectPinnedObs(smpApache(4, 4), "apache4x4", 0xcc869bf3e8b698b6ull,
                     0x16ab6ac6cf6fdb1cull);
+}
+
+// ===================== kernelEntries =====================
+
+namespace {
+
+using EntryMaps = std::vector<std::map<std::string, std::uint64_t>>;
+
+/** Every core's kernelEntries, then the machine-level capture's. */
+EntryMaps
+kernelEntriesOf(Session &s)
+{
+    EntryMaps m;
+    for (int c = 0; c < s.system().numCores(); ++c)
+        m.push_back(s.system().pipeline(c).stats().kernelEntries.all());
+    m.push_back(s.capture().core.kernelEntries.all());
+    return m;
+}
+
+std::uint64_t
+digestOf(const EntryMaps &maps)
+{
+    std::ostringstream os;
+    for (std::size_t i = 0; i < maps.size(); ++i)
+        for (const auto &[key, n] : maps[i])
+            os << i << ' ' << key << ' ' << n << '\n';
+    const std::string text = os.str();
+    return fnv1a(text.data(), text.size());
+}
+
+/**
+ * The per-cycle kernelEntries counters (fetch-stop reasons, TLB
+ * misses, interrupts) at three points of an Apache run: after
+ * start-up, after one more run() chunk, and after a second. The
+ * digests were recorded while every count still went through a
+ * string-keyed map lookup; the interned counters must show the same
+ * keys and counts. A resumed run must match the straight run, and
+ * after a stats reset a key reappears only when counted again.
+ */
+void
+expectKernelEntries(int cores, const std::vector<std::uint64_t> &pinned)
+{
+    constexpr std::uint64_t chunk = 60'000;
+    Session::Config cfg = smpApache(cores, 4);
+    Session s(cfg);
+    s.runStartup();
+    std::vector<EntryMaps> straight{kernelEntriesOf(s)};
+    s.system().run(chunk);
+    straight.push_back(kernelEntriesOf(s));
+    const std::vector<std::uint8_t> artifact = s.snapshot();
+    s.system().run(chunk);
+    straight.push_back(kernelEntriesOf(s));
+    for (std::size_t i = 0; i < pinned.size(); ++i)
+        EXPECT_EQ(digestOf(straight[i]), pinned[i])
+            << std::hex << "point " << i << " digest 0x"
+            << digestOf(straight[i]);
+    EXPECT_GT(straight.back().back().at("fs_iq"), 0u);
+
+    // Resumed in the middle of the measurement, the counters carry on
+    // exactly as the straight run's.
+    std::string err;
+    auto resumed =
+        Session::resume(artifact, Session::ResumeOptions{}, &err);
+    ASSERT_NE(resumed, nullptr) << err;
+    EXPECT_EQ(kernelEntriesOf(*resumed), straight[1]);
+    resumed->system().run(chunk);
+    EXPECT_EQ(kernelEntriesOf(*resumed), straight[2]);
+    resumed->system().run(chunk);
+    const EntryMaps end = kernelEntriesOf(*resumed);
+
+    // Reset the straight run's core stats and run the same chunk: each
+    // counter holds exactly its growth over the chunk, and a counter
+    // that did not grow is absent.
+    for (int c = 0; c < cores; ++c)
+        s.system().pipeline(c).stats() = CoreStats{};
+    s.system().run(chunk);
+    const EntryMaps after = kernelEntriesOf(s);
+    for (int c = 0; c < cores; ++c) {
+        std::map<std::string, std::uint64_t> grown;
+        for (const auto &[key, n] : end[static_cast<std::size_t>(c)]) {
+            const auto &before = straight[2][static_cast<std::size_t>(c)];
+            const auto it = before.find(key);
+            const std::uint64_t was = it == before.end() ? 0 : it->second;
+            if (n != was)
+                grown[key] = n - was;
+        }
+        EXPECT_EQ(after[static_cast<std::size_t>(c)], grown)
+            << "core " << c;
+    }
+}
+
+} // namespace
+
+TEST(KernelEntries, ExactAcrossCaptureResumeAndResetOneCore)
+{
+    expectKernelEntries(1, {0x280bd489ddc4ccf1ull, 0xbc71c3811d3dc331ull,
+                            0xd4776f286edb6d71ull});
+}
+
+TEST(KernelEntries, ExactAcrossCaptureResumeAndResetFourCores)
+{
+    expectKernelEntries(4, {0x3d3ac579ec6c7f7full, 0xb824b4ba113fae5full,
+                            0x29f081926a7c711full});
 }
 
 // ===================== SMTOS_CORES =====================
