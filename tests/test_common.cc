@@ -234,6 +234,35 @@ TEST(CounterMap, AddAndTotal)
     EXPECT_EQ(m.total(), 8u);
 }
 
+TEST(CounterMap, InternedKeyCountsIntoItsNamedEntry)
+{
+    constexpr CounterMap::Key k{0, "a"};
+    CounterMap m;
+    EXPECT_TRUE(m.all().empty());
+    m.add(k);
+    m.add("a", 2);
+    m.add(k, 3);
+    EXPECT_EQ(m.get("a"), 6u);
+
+    // Copies and assignments count on their own entries.
+    CounterMap copy = m;
+    copy.add(k);
+    EXPECT_EQ(m.get("a"), 6u);
+    EXPECT_EQ(copy.get("a"), 7u);
+    m = copy;
+    m.add(k);
+    EXPECT_EQ(copy.get("a"), 7u);
+    EXPECT_EQ(m.get("a"), 8u);
+
+    // After a reset the key reappears only when counted again.
+    m.reset();
+    EXPECT_TRUE(m.all().empty());
+    m.add("b");
+    m.add(k);
+    EXPECT_EQ(m.get("a"), 1u);
+    EXPECT_EQ(m.total(), 2u);
+}
+
 TEST(TextTable, RendersAllCells)
 {
     TextTable t("demo");
